@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-parallel vet race bench bench-sweep benchdiff fuzz-smoke chaos-smoke serve-smoke docker clean
+.PHONY: all build test test-shuffle test-parallel vet inline-check race bench bench-sweep benchdiff fuzz-smoke chaos-smoke serve-smoke docker clean
 
 all: vet build test
 
@@ -31,6 +31,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# inline-check fails unless the metering shell (*Ctx).Access, the unit-cost
+# charge (*Ctx).Op and the checkpoint (*Ctx).Check stay inlinable: every
+# mem.Array Get/Set calls Access, so an out-of-line call there costs about
+# a tenth of the unmetered sort time.
+inline-check:
+	sh scripts/inline_check.sh
 
 # bench regenerates the relational-layer trend artifact: elems/s for
 # Compact/GroupBy (narrow, wide, and per sort backend)/Join/JoinAll, the

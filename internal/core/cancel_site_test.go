@@ -58,4 +58,27 @@ func TestBenesCancelSites(t *testing.T) {
 	}); site != "benes.level" {
 		t.Fatalf("tripped network apply aborted at %q, want benes.level", site)
 	}
+
+	// Above benesBlock the application has a block phase between the
+	// whole-array layers; every block layer is a checkpoint too.
+	const nb = 4 * benesBlock
+	ab, ksb := shuffleInput(sp, prng.New(12), nb, nb, 1)
+	pb := make([]int, nb)
+	for i := range pb {
+		pb[i] = i
+	}
+	plb := routeBenes(pb)
+	scrb := mem.Alloc[obliv.Elem](sp, nb)
+	kscrb := obliv.AllocKeySchedule(sp, nb, 1)
+	if site := caughtSite(t, "tripped blocked apply", func() {
+		plb.apply(c, ab, scrb, ksb, kscrb)
+	}); site != "benes.level" {
+		t.Fatalf("tripped blocked apply aborted at %q, want benes.level", site)
+	}
+	top := obliv.Log2(nb / benesBlock)
+	if site := caughtSite(t, "tripped block phase", func() {
+		plb.run(ab, scrb, ksb, kscrb).block(c, top, 0, 0, benesBlock/2)
+	}); site != "benes.level" {
+		t.Fatalf("tripped block phase aborted at %q, want benes.level", site)
+	}
 }

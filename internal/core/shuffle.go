@@ -36,6 +36,14 @@
 // on large relations. Every switch moves the element and all schedule
 // words together, the same lockstep contract the keyed bitonic merge
 // keeps through its transposes.
+//
+// The network is applied cache-agnostically rather than as 2·log₂(n)−1
+// whole-array passes: only the outermost log₂(n/benesBlock) split and merge
+// layers stream the whole array; below them the network falls apart into
+// independent contiguous sub-networks of benesBlock positions, and each
+// runs all of its inner layers while it stays in cache. The switches are
+// the same fixed set, reordered as a fixed function of (n, width), so the
+// view stays simulatable from the shape.
 package core
 
 import (
@@ -490,10 +498,43 @@ func routeBlock(p, q []int, sIn, sOut []bool, pinv []int, color []int8) {
 // benesApplyGrain is the switch count per leaf task when a network layer
 // forks: each switch moves two elements plus their schedule words, so the
 // leaf carries a few thousand memory touches — large enough to amortize
-// task bookkeeping, small enough that every n/2-wide layer still splits
-// hundreds of ways at the sizes the shuffle backend serves (n ≥ 2^13).
-// Metered runs ignore it (the grain-1 policy measures the full span).
+// task bookkeeping. A block-phase layer (benesBlock/2 switches) is exactly
+// one leaf, so in pool mode the application's parallelism there comes from
+// the n/benesBlock independent blocks; the whole-array outer layers still
+// split n/2/benesApplyGrain ways. Metered runs ignore it (the grain-1 policy
+// measures the full span).
 const benesApplyGrain = 1 << 10
+
+// benesBlock is the sub-network size at which the application turns from
+// whole-array layers to blocks. Below the first log₂(n/benesBlock) split
+// layers the network falls apart into n/benesBlock independent contiguous
+// sub-networks, and each block runs all of its remaining layers back to
+// back while its two double-buffer halves — 48-byte elements plus one word
+// per key plane — stay in L2.
+const benesBlock = 1 << 11
+
+// benesBuf is one half of the application's double buffer: the element
+// array and its schedule planes, the plane pointers hoisted out of the
+// switch loop.
+type benesBuf struct {
+	a      *mem.Array[obliv.Elem]
+	planes []*mem.Array[uint64]
+}
+
+func newBenesBuf(a *mem.Array[obliv.Elem], ks *obliv.KeySchedule) benesBuf {
+	b := benesBuf{a: a, planes: make([]*mem.Array[uint64], ks.Width())}
+	for p := range b.planes {
+		b.planes[p] = ks.Plane(p)
+	}
+	return b
+}
+
+// benesRun is one application of a routed plan over a double buffer.
+type benesRun struct {
+	pl  *benesPlan
+	k   int
+	buf [2]benesBuf
+}
 
 // apply runs the routed network over the element array and every schedule
 // plane in lockstep, double-buffering through scr/kscr (same length and
@@ -501,88 +542,116 @@ const benesApplyGrain = 1 << 10
 // home buffer is even). The address sequence is a fixed function of
 // (n, width): each switch always reads its two inputs and writes its two
 // outputs, whichever way it is set.
+//
+// The layers run in index order, cache-blocked in the middle: the first
+// top = log₂(n/benesBlock) split layers and the last top merge layers sweep
+// the whole array, and in between every benesBlock-sized block runs its
+// own split, middle and merge layers back to back (the blocks fork across
+// the pool). At n ≤ benesBlock there is a single block and the schedule is
+// the plain layer-by-layer one.
 func (pl *benesPlan) apply(c *forkjoin.Ctx, a, scr *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule) {
 	n := pl.n
 	if a.Len() != n || scr.Len() != n {
 		panic("core: Beneš apply length mismatch")
 	}
-	w := ks.Width()
-	k := obliv.Log2(n)
-	cura, nxta := a, scr
-	curk, nxtk := ks, kscr
-	move := func(c *forkjoin.Ctx, swap bool, i0, i1, o0, o1 int) {
+	r := pl.run(a, scr, ks, kscr)
+	layers := 2*r.k - 1
+	bs := min(n, benesBlock)
+	top := obliv.Log2(n / bs)
+	cur := 0
+	for l := 0; l < top; l++ {
+		cur = r.layer(c, l, cur, 0, n/2)
+	}
+	// A block's layers swap the buffer halves an even number of times, so
+	// cur is unchanged across the block phase.
+	forkjoin.ParallelRange(c, 0, n/bs, 1, func(c *forkjoin.Ctx, from, to int) {
+		for b := from; b < to; b++ {
+			r.block(c, top, cur, b*bs/2, (b+1)*bs/2)
+		}
+	})
+	for l := layers - top; l < layers; l++ {
+		cur = r.layer(c, l, cur, 0, n/2)
+	}
+	if cur != 0 {
+		panic("core: Beneš apply did not return to the home buffer")
+	}
+}
+
+// run binds the plan to the double buffer (a, ks) / (scr, kscr).
+func (pl *benesPlan) run(a, scr *mem.Array[obliv.Elem], ks, kscr *obliv.KeySchedule) *benesRun {
+	return &benesRun{pl: pl, k: obliv.Log2(pl.n), buf: [2]benesBuf{newBenesBuf(a, ks), newBenesBuf(scr, kscr)}}
+}
+
+// block runs layers top .. 2k−2−top over the block whose switches are
+// [from, to) — every one of those layers maps the block's positions onto
+// themselves — starting from buffer half cur.
+func (r *benesRun) block(c *forkjoin.Ctx, top, cur, from, to int) {
+	for l := top; l < 2*r.k-1-top; l++ {
+		cur = r.layer(c, l, cur, from, to)
+	}
+}
+
+// layer runs switches [from, to) of network layer l, reading buffer half
+// cur, and returns the half holding the result. Layer l < k−1 is the split
+// layer at sub-network size n>>l, layer k−1 the in-place middle layer
+// (a split at size 2 whose outputs are its inputs), layer l > k−1 the merge
+// layer mirroring split layer 2k−2−l.
+func (r *benesRun) layer(c *forkjoin.Ctx, l, cur, from, to int) int {
+	// Cancellation checkpoint at every layer boundary: the boundary is a
+	// function of n alone, so an abort reveals only the public layer index
+	// (never a partial-layer position).
+	c.Check("benes.level")
+	k := r.k
+	src, dst := &r.buf[cur], &r.buf[cur^1]
+	var m int
+	merge := false
+	switch {
+	case l < k-1:
+		m = r.pl.n >> l
+	case l == k-1:
+		m, dst = 2, src
+	default:
+		m, merge = r.pl.n>>(2*k-2-l), true
+	}
+	set := r.pl.layers[l]
+	forkjoin.ParallelRange(c, from, to, benesApplyGrain, func(c *forkjoin.Ctx, from, to int) {
+		benesSwitches(c, src, dst, set, m, merge, from, to)
+	})
+	if dst == src {
+		return cur
+	}
+	return cur ^ 1
+}
+
+// benesSwitches runs switches [from, to) of one layer at sub-network size m
+// from src into dst. Switch t of the sub-network at off reads the pair
+// (off+2j, off+2j+1) and writes the halves (off+j, off+m/2+j), j = t−off/2;
+// a merge layer reverses the direction.
+func benesSwitches(c *forkjoin.Ctx, src, dst *benesBuf, set []bool, m int, merge bool, from, to int) {
+	h := m / 2
+	for t := from; t < to; t++ {
+		off := 2 * t &^ (m - 1)
+		j := t & (h - 1)
+		i0, i1, o0, o1 := off+2*j, off+2*j+1, off+j, off+h+j
+		if merge {
+			i0, i1, o0, o1 = o0, o1, i0, i1
+		}
+		swap := set[t]
 		c.Op(1)
-		x, y := cura.Get(c, i0), cura.Get(c, i1)
+		x, y := src.a.Get(c, i0), src.a.Get(c, i1)
 		if swap {
 			x, y = y, x
 		}
-		nxta.Set(c, o0, x)
-		nxta.Set(c, o1, y)
-		for p := 0; p < w; p++ {
-			kx, ky := curk.Plane(p).Get(c, i0), curk.Plane(p).Get(c, i1)
+		dst.a.Set(c, o0, x)
+		dst.a.Set(c, o1, y)
+		for p, sp := range src.planes {
+			dp := dst.planes[p]
+			kx, ky := sp.Get(c, i0), sp.Get(c, i1)
 			if swap {
 				kx, ky = ky, kx
 			}
-			nxtk.Plane(p).Set(c, o0, kx)
-			nxtk.Plane(p).Set(c, o1, ky)
+			dp.Set(c, o0, kx)
+			dp.Set(c, o1, ky)
 		}
-	}
-	for l := 0; l < k-1; l++ {
-		// Cancellation checkpoint between network layers: the layer
-		// boundary is a function of n alone, so an abort reveals only the
-		// public layer index (never a partial-layer position).
-		c.Check("benes.level")
-		m := n >> l
-		h := m / 2
-		set := pl.layers[l]
-		forkjoin.ParallelRange(c, 0, n/2, benesApplyGrain, func(c *forkjoin.Ctx, from, to int) {
-			for t := from; t < to; t++ {
-				off := 2 * t / m * m
-				j := t - off/2
-				move(c, set[t], off+2*j, off+2*j+1, off+j, off+h+j)
-			}
-		})
-		cura, nxta = nxta, cura
-		curk, nxtk = nxtk, curk
-	}
-	c.Check("benes.level")
-	mid := pl.layers[k-1]
-	forkjoin.ParallelRange(c, 0, n/2, benesApplyGrain, func(c *forkjoin.Ctx, from, to int) {
-		for t := from; t < to; t++ {
-			c.Op(1)
-			i0, i1 := 2*t, 2*t+1
-			x, y := cura.Get(c, i0), cura.Get(c, i1)
-			if mid[t] {
-				x, y = y, x
-			}
-			cura.Set(c, i0, x)
-			cura.Set(c, i1, y)
-			for p := 0; p < w; p++ {
-				kx, ky := curk.Plane(p).Get(c, i0), curk.Plane(p).Get(c, i1)
-				if mid[t] {
-					kx, ky = ky, kx
-				}
-				curk.Plane(p).Set(c, i0, kx)
-				curk.Plane(p).Set(c, i1, ky)
-			}
-		}
-	})
-	for l := k - 2; l >= 0; l-- {
-		c.Check("benes.level")
-		m := n >> l
-		h := m / 2
-		set := pl.layers[2*k-2-l]
-		forkjoin.ParallelRange(c, 0, n/2, benesApplyGrain, func(c *forkjoin.Ctx, from, to int) {
-			for t := from; t < to; t++ {
-				off := 2 * t / m * m
-				j := t - off/2
-				move(c, set[t], off+j, off+h+j, off+2*j, off+2*j+1)
-			}
-		})
-		cura, nxta = nxta, cura
-		curk, nxtk = nxtk, curk
-	}
-	if cura != a {
-		panic("core: Beneš apply did not return to the home buffer")
 	}
 }

@@ -28,11 +28,19 @@ func benesFixture(sp *mem.Space, n, w int) (*mem.Array[obliv.Elem], *obliv.KeySc
 	return a, ks
 }
 
+// TestBenesAppliesPermutation checks the network realizes new[i] =
+// old[perm[i]] with every schedule plane in lockstep, below benesBlock (one
+// block: the plain layer-by-layer schedule) and above it (whole-array outer
+// layers around the per-block phase).
 func TestBenesAppliesPermutation(t *testing.T) {
 	src := prng.New(11)
-	for _, n := range []int{2, 4, 8, 16, 64, 256, 1024} {
+	for _, n := range []int{2, 4, 8, 16, 64, 256, 1024, 4 * benesBlock, 8 * benesBlock} {
+		reps := 3
+		if n > benesBlock {
+			reps = 1
+		}
 		for _, w := range []int{1, 2} {
-			for rep := 0; rep < 3; rep++ {
+			for rep := 0; rep < reps; rep++ {
 				sp := mem.NewSpace()
 				a, ks := benesFixture(sp, n, w)
 				scr := mem.Alloc[obliv.Elem](sp, n)
@@ -57,9 +65,16 @@ func TestBenesAppliesPermutation(t *testing.T) {
 
 // TestBenesTraceFixed asserts the permutation stage's strongest property:
 // its instrumented trace is a fixed function of (n, width) — not just of
-// the tape, but identical across *different permutations and contents*.
+// the tape, but identical across *different permutations and contents* —
+// for the single-block schedule and for the cache-blocked one.
 func TestBenesTraceFixed(t *testing.T) {
-	const n, w = 128, 2
+	for _, n := range []int{128, 4 * benesBlock} {
+		benesTraceFixed(t, n)
+	}
+}
+
+func benesTraceFixed(t *testing.T, n int) {
+	const w = 2
 	run := func(seed uint64) *forkjoin.Metrics {
 		sp := mem.NewSpace()
 		a, ks := benesFixture(sp, n, w)
@@ -74,7 +89,7 @@ func TestBenesTraceFixed(t *testing.T) {
 		})
 	}
 	if !run(1).Trace.Equal(run(2).Trace) {
-		t.Fatal("Beneš application trace depends on the permutation or contents")
+		t.Fatalf("n=%d: Beneš application trace depends on the permutation or contents", n)
 	}
 }
 
@@ -468,5 +483,28 @@ func TestShuffleSortParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d: output diverges from serial at %d: %+v want %+v", workers, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestShuffleSorterMeteredPinned pins the exact metered cost and view of a
+// FixedSeed shuffle sort at one size n ≤ benesBlock: Work, Span, MemOps,
+// ideal-cache misses and the trace fingerprint. The constants were recorded
+// before the hot-path rewrite of the network application and the keyed
+// sample sort; a refactor that changes any instrumented access, fork or
+// unit-cost charge of the composition moves one of them.
+func TestShuffleSorterMeteredPinned(t *testing.T) {
+	const n, w = 1024, 2
+	sp := mem.NewSpace()
+	a, ks := shuffleInput(sp, prng.New(31), n, n-100, w)
+	shuf := &ShuffleSorter{FixedSeed: fixedSeed(77), Crossover: 2}
+	m := forkjoin.RunMetered(forkjoin.MeterOpts{CacheM: 1 << 10, CacheB: 16, EnableTrace: true}, func(c *forkjoin.Ctx) {
+		shuf.SortScheduled(c, sp, a, ks, nil, nil, 0, n)
+	})
+	want := forkjoin.Metrics{Work: 308288, Span: 19494, MemOps: 231648, CacheMisses: 11276}
+	wantHash, wantCount := uint64(0xf264244d92b058da), int64(291504)
+	if m.Work != want.Work || m.Span != want.Span || m.MemOps != want.MemOps || m.CacheMisses != want.CacheMisses ||
+		m.Trace.Hash != wantHash || m.Trace.Count != wantCount {
+		t.Fatalf("metered shuffle sort moved: work=%d span=%d memops=%d misses=%d trace=(%#x, %d)",
+			m.Work, m.Span, m.MemOps, m.CacheMisses, m.Trace.Hash, m.Trace.Count)
 	}
 }

@@ -187,12 +187,17 @@ func (c *Ctx) Op(n int64) {
 }
 
 // Access records one instrumented memory operation at element address addr.
-// It is called by the mem package.
+// It is called by the mem package. The unmetered path is a nil check that
+// inlines into every mem.Array Get and Set; the bookkeeping lives in the
+// out-of-line Meter.access.
 func (c *Ctx) Access(addr uint64, write bool) {
-	m := c.m
-	if m == nil {
-		return
+	if c.m != nil {
+		c.m.access(addr, write)
 	}
+}
+
+//go:noinline
+func (m *Meter) access(addr uint64, write bool) {
 	m.work++
 	m.span++
 	m.memOps++

@@ -302,6 +302,42 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
+// TestHTTPUnknownFieldRejected pins strict request decoding: a misspelt
+// field ("groupby" for "group_by") is a 400 with the JSON error body that
+// malformed JSON gets, on every endpoint that decodes a body — never a 200
+// that silently drops the option and returns the raw rows.
+func TestHTTPUnknownFieldRejected(t *testing.T) {
+	s := serialServer(t, 1)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	rows := []RowJSON{{Keys: []uint64{2}, Val: 7}, {Keys: []uint64{2}, Val: 3}}
+	if code := postJSON(t, ts.URL+"/v1/tables", LoadRequest{Name: "t", Rows: rows}, nil); code != 200 {
+		t.Fatalf("load: HTTP %d", code)
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/query", `{"table":"t","groupby":"sum"}`},
+		{"/v1/explain", `{"table":"t","groupby":"sum"}`},
+		{"/v1/query", `{"table":"t","filter":{"col":0,"op":"eq","valeu":2}}`},
+		{"/v1/tables", `{"name":"u","rows":[{"keys":[1],"val":1}],"replcae":true}`},
+		{"/v1/query", `{"table":`}, // malformed: the status and body to match
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || derr != nil || er.Error == "" {
+			t.Fatalf("POST %s %s: HTTP %d error %q (decode %v), want 400 with an error body",
+				c.path, c.body, resp.StatusCode, er.Error, derr)
+		}
+	}
+	if _, _, err := s.reg.Get("u"); err == nil {
+		t.Fatal("a load with an unknown field created its table")
+	}
+}
+
 // TestAdmissionBusy pins the queue-timeout path: with every lane checked
 // out and a tiny timeout, Execute fails fast with ErrBusy (HTTP 503).
 func TestAdmissionBusy(t *testing.T) {

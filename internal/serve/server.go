@@ -656,6 +656,15 @@ func statusOf(err error) int {
 	}
 }
 
+// decodeBody decodes a request body into v, rejecting any field v does not
+// declare: a misspelt option (say "groupby" for "group_by") must fail with
+// 400 like malformed JSON, not silently run a different query.
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, statusOf(err), errorResponse{Error: err.Error()})
 }
@@ -681,7 +690,7 @@ func (s *Server) Handler() http.Handler {
 			writeJSON(w, http.StatusOK, s.reg.List())
 		case http.MethodPost:
 			var req LoadRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			if err := decodeBody(r, &req); err != nil {
 				writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 				return
 			}
@@ -717,7 +726,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var spec QuerySpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		if err := decodeBody(r, &spec); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}
@@ -737,7 +746,7 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var spec QuerySpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		if err := decodeBody(r, &spec); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 			return
 		}

@@ -30,26 +30,26 @@ import (
 )
 
 // kseq bundles the three lockstep components of a keyed sequence: the
-// element array, its key schedule, and the tie plane, all indexed
-// identically, plus the cached schedule width.
+// element array, its key-schedule planes (hoisted out of the schedule once,
+// so the accessors index a slice), and the tie plane, all indexed
+// identically, plus the schedule width.
 type kseq struct {
-	a   *mem.Array[obliv.Elem]
-	ks  *obliv.KeySchedule
-	tie *mem.Array[uint64]
-	w   int
+	a      *mem.Array[obliv.Elem]
+	planes []*mem.Array[uint64]
+	tie    *mem.Array[uint64]
+	w      int
 }
 
 func newKseq(a *mem.Array[obliv.Elem], ks *obliv.KeySchedule, tie *mem.Array[uint64]) kseq {
-	return kseq{a: a, ks: ks, tie: tie, w: ks.Width()}
+	s := kseq{a: a, planes: make([]*mem.Array[uint64], ks.Width()), tie: tie, w: ks.Width()}
+	for p := range s.planes {
+		s.planes[p] = ks.Plane(p)
+	}
+	return s
 }
 
 func allocKseq(sp *mem.Space, n, w int) kseq {
-	return kseq{
-		a:   mem.Alloc[obliv.Elem](sp, n),
-		ks:  obliv.AllocKeySchedule(sp, n, w),
-		tie: mem.Alloc[uint64](sp, n),
-		w:   w,
-	}
+	return newKseq(mem.Alloc[obliv.Elem](sp, n), obliv.AllocKeySchedule(sp, n, w), mem.Alloc[uint64](sp, n))
 }
 
 // krow is one element with its cached key words and tie word — the unit the
@@ -60,20 +60,22 @@ type krow struct {
 	t uint64
 }
 
-func (s kseq) load(c *forkjoin.Ctx, i int) krow {
-	var r krow
+// load reads row i into *r. Rows move through caller-owned krow variables
+// rather than by value: a krow is 120 bytes, and copying or zeroing one per
+// access dominated the sort's harness cost.
+func (s kseq) load(c *forkjoin.Ctx, i int, r *krow) {
 	r.e = s.a.Get(c, i)
-	for p := 0; p < s.w; p++ {
-		r.k[p] = s.ks.Plane(p).Get(c, i)
+	for p, pl := range s.planes {
+		r.k[p] = pl.Get(c, i)
 	}
 	r.t = s.tie.Get(c, i)
-	return r
 }
 
-func (s kseq) store(c *forkjoin.Ctx, i int, r krow) {
+// store writes *r to row i.
+func (s kseq) store(c *forkjoin.Ctx, i int, r *krow) {
 	s.a.Set(c, i, r.e)
-	for p := 0; p < s.w; p++ {
-		s.ks.Plane(p).Set(c, i, r.k[p])
+	for p, pl := range s.planes {
+		pl.Set(c, i, r.k[p])
 	}
 	s.tie.Set(c, i, r.t)
 }
@@ -126,32 +128,37 @@ func SampleSortScheduled(
 		tscr = mem.Alloc[uint64](sp, n)
 	}
 	scratch := newKseq(scr.View(0, n), kscr.View(0, n), tscr.View(0, n))
-	sampleSortRecK(c, sp, s, scratch, 0, n, prng.Mix64(seed), 0)
+	sampleSortRecK(c, sp, s, scratch, make([]uint32, n), 0, n, prng.Mix64(seed), 0)
 }
 
 // insertionSortK sorts s[lo:hi) serially (instrumented).
 func insertionSortK(c *forkjoin.Ctx, s kseq, lo, hi int) {
+	var r, f krow
 	for i := lo + 1; i < hi; i++ {
-		r := s.load(c, i)
+		s.load(c, i, &r)
 		j := i - 1
 		for j >= lo {
-			f := s.load(c, j)
+			s.load(c, j, &f)
 			c.Op(1)
 			if !after(&f, &r, s.w) {
 				break
 			}
-			s.store(c, j+1, f)
+			s.store(c, j+1, &f)
 			j--
 		}
-		s.store(c, j+1, r)
+		s.store(c, j+1, &r)
 	}
 }
 
 // sampleSortRecK sorts s[lo:lo+n); scratch parallels s (same length, same
-// relative offsets). The recursion shape mirrors SampleSort's: ~√n buckets
-// per level carved out by a binary tree of stable parallel partitions, with
-// the mergesort fallback keeping the span polylog on small ranges.
-func sampleSortRecK(c *forkjoin.Ctx, sp *mem.Space, s, scratch kseq, lo, n int, seed uint64, depth int) {
+// relative offsets), and so does bkt, the harness-memory bucket record of
+// the partitions (one buffer per SampleSortScheduled call: a range's
+// partition, its children's and its sample's recursion all run in
+// bkt[lo:lo+n), never at the same time). The recursion shape mirrors
+// SampleSort's: ~√n buckets per level carved out by a binary tree of stable
+// parallel partitions, with the mergesort fallback keeping the span polylog
+// on small ranges.
+func sampleSortRecK(c *forkjoin.Ctx, sp *mem.Space, s, scratch kseq, bkt []uint32, lo, n int, seed uint64, depth int) {
 	if n <= leafFor(c) {
 		insertionSortK(c, s, lo, lo+n)
 		return
@@ -177,26 +184,30 @@ func sampleSortRecK(c *forkjoin.Ctx, sp *mem.Space, s, scratch kseq, lo, n int, 
 		idx[i] = src.Intn(n)
 	}
 	samp := allocKseq(sp, sn, s.w)
-	forkjoin.ParallelFor(c, 0, sn, 0, func(c *forkjoin.Ctx, i int) {
-		samp.store(c, i, s.load(c, lo+idx[i]))
+	forkjoin.ParallelRange(c, 0, sn, 0, func(c *forkjoin.Ctx, from, to int) {
+		var r krow
+		for i := from; i < to; i++ {
+			s.load(c, lo+idx[i], &r)
+			samp.store(c, i, &r)
+		}
 	})
 	sampScratch := allocKseq(sp, sn, s.w)
-	sampleSortRecK(c, sp, samp, sampScratch, 0, sn, prng.Mix64(seed+1), depth+1)
+	sampleSortRecK(c, sp, samp, sampScratch, bkt[lo:lo+sn], 0, sn, prng.Mix64(seed+1), depth+1)
 
 	pivots := make([]krow, q-1)
 	for t := range pivots {
-		pivots[t] = samp.load(c, (t+1)*sn/q)
+		samp.load(c, (t+1)*sn/q, &pivots[t])
 	}
 
 	// Partition into q buckets with one stable q-way scatter.
 	bounds := make([]int, q+1)
-	partitionK(c, s, scratch, lo, n, pivots, bounds)
+	partitionK(c, s, scratch, bkt[lo:lo+n], lo, n, pivots, bounds)
 
 	// Recurse on buckets.
 	forkjoin.ParallelFor(c, 0, q, 1, func(c *forkjoin.Ctx, b int) {
 		sz := bounds[b+1] - bounds[b]
 		if sz > 1 {
-			sampleSortRecK(c, sp, s, scratch, lo+bounds[b], sz, prng.Mix64(seed+uint64(b)+2), depth+1)
+			sampleSortRecK(c, sp, s, scratch, bkt, lo+bounds[b], sz, prng.Mix64(seed+uint64(b)+2), depth+1)
 		}
 	})
 }
@@ -232,12 +243,12 @@ const (
 // partitionK stably partitions s[lo:lo+n) into len(pivots)+1 buckets,
 // filling bounds (offsets relative to lo, len(pivots)+2 entries) and
 // leaving the buckets contiguous in s. Two element passes: chunk-local
-// histograms (classification is a register binary search per element),
-// then a stable scatter through scratch at offsets derived from the
-// histogram prefix, plus the copy back. The counters live in harness
-// memory like the pivot table — this is the insecure stage, so only the
-// element traffic is instrumented.
-func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots []krow, bounds []int) {
+// histograms (classification is a register binary search per element,
+// recorded in bkt[i]), then a stable scatter through scratch at offsets
+// derived from the histogram prefix, plus the copy back. The counters and
+// the bucket record live in harness memory like the pivot table — this is
+// the insecure stage, so only the element traffic is instrumented.
+func partitionK(c *forkjoin.Ctx, s, scratch kseq, bkt []uint32, lo, n int, pivots []krow, bounds []int) {
 	q := len(pivots) + 1
 	chunks := (n + partitionChunk - 1) / partitionChunk
 	counts := make([]int, chunks*q)
@@ -247,10 +258,13 @@ func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots []krow, boun
 			to = n
 		}
 		local := counts[ch*q : (ch+1)*q]
+		var r krow
 		for i := from; i < to; i++ {
-			r := s.load(c, lo+i)
+			s.load(c, lo+i, &r)
 			c.Op(1)
-			local[bucketOf(&r, pivots, s.w)]++
+			b := bucketOf(&r, pivots, s.w)
+			bkt[i] = uint32(b)
+			local[b]++
 		}
 	})
 	// Exclusive prefix in (bucket, chunk) order: chunk ch of bucket b
@@ -304,11 +318,12 @@ func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots []krow, boun
 			to = n
 		}
 		next := counts[ch*q : (ch+1)*q]
+		var r krow
 		for i := from; i < to; i++ {
-			r := s.load(c, lo+i)
+			s.load(c, lo+i, &r)
 			c.Op(1)
-			b := bucketOf(&r, pivots, s.w)
-			scratch.store(c, lo+next[b], r)
+			b := bkt[i]
+			scratch.store(c, lo+next[b], &r)
 			next[b]++
 		}
 	})
@@ -318,8 +333,8 @@ func partitionK(c *forkjoin.Ctx, s, scratch kseq, lo, n int, pivots []krow, boun
 // copyK copies scratch[lo:lo+n) back into s[lo:lo+n), plane by plane.
 func copyK(c *forkjoin.Ctx, s, scratch kseq, lo, n int) {
 	mem.CopyPar(c, s.a, lo, scratch.a, lo, n)
-	for p := 0; p < s.w; p++ {
-		mem.CopyPar(c, s.ks.Plane(p), lo, scratch.ks.Plane(p), lo, n)
+	for p, pl := range s.planes {
+		mem.CopyPar(c, pl, lo, scratch.planes[p], lo, n)
 	}
 	mem.CopyPar(c, s.tie, lo, scratch.tie, lo, n)
 }
@@ -343,25 +358,29 @@ func mergeSortRecK(c *forkjoin.Ctx, s, scratch kseq, lo, n int) {
 func parMergeK(c *forkjoin.Ctx, s, scratch kseq, alo, ahi, blo, bhi, out int) {
 	an, bn := ahi-alo, bhi-blo
 	if an+bn <= 2*leafFor(c) {
+		var x, y krow
 		i, j, o := alo, blo, out
 		for i < ahi && j < bhi {
-			x, y := s.load(c, i), s.load(c, j)
+			s.load(c, i, &x)
+			s.load(c, j, &y)
 			c.Op(1)
 			if !after(&x, &y, s.w) {
-				scratch.store(c, o, x)
+				scratch.store(c, o, &x)
 				i++
 			} else {
-				scratch.store(c, o, y)
+				scratch.store(c, o, &y)
 				j++
 			}
 			o++
 		}
 		for i < ahi {
-			scratch.store(c, o, s.load(c, i))
+			s.load(c, i, &x)
+			scratch.store(c, o, &x)
 			i, o = i+1, o+1
 		}
 		for j < bhi {
-			scratch.store(c, o, s.load(c, j))
+			s.load(c, j, &y)
+			scratch.store(c, o, &y)
 			j, o = j+1, o+1
 		}
 		return
@@ -371,7 +390,8 @@ func parMergeK(c *forkjoin.Ctx, s, scratch kseq, alo, ahi, blo, bhi, out int) {
 		alo, ahi, blo, bhi = blo, bhi, alo, ahi
 	}
 	amid := alo + (ahi-alo)/2
-	pivot := s.load(c, amid)
+	var pivot krow
+	s.load(c, amid, &pivot)
 	bmid := lowerBoundK(c, s, blo, bhi, &pivot)
 	leftOut := out
 	rightOut := out + (amid - alo) + (bmid - blo)
@@ -383,9 +403,10 @@ func parMergeK(c *forkjoin.Ctx, s, scratch kseq, alo, ahi, blo, bhi, out int) {
 
 // lowerBoundK returns the first index in s[lo:hi) ordering >= pv.
 func lowerBoundK(c *forkjoin.Ctx, s kseq, lo, hi int, pv *krow) int {
+	var r krow
 	for lo < hi {
 		mid := (lo + hi) / 2
-		r := s.load(c, mid)
+		s.load(c, mid, &r)
 		c.Op(1)
 		if after(pv, &r, s.w) {
 			lo = mid + 1

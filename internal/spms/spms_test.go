@@ -203,3 +203,41 @@ func TestInsecureAdapters(t *testing.T) {
 		checkSorted(t, name, a.Data(), raw)
 	}
 }
+
+// TestSampleSortScheduledMeteredPinned pins the exact metered cost and view
+// of the keyed sample sort at one fixed input: Work, Span, MemOps,
+// ideal-cache misses and the trace fingerprint. The constants were recorded
+// before the copy-free rewrite of the keyed sequence accessors and the
+// partition's bucket reuse; any change to an instrumented access, fork or
+// unit-cost charge moves one of them.
+func TestSampleSortScheduledMeteredPinned(t *testing.T) {
+	const n, w = 1024, 2
+	sp := mem.NewSpace()
+	src := prng.New(19)
+	a := mem.Alloc[obliv.Elem](sp, n)
+	ks := obliv.AllocKeySchedule(sp, n, w)
+	ks.Tie = obliv.TiePos
+	tie := mem.Alloc[uint64](sp, n)
+	for i := 0; i < n; i++ {
+		a.Data()[i] = obliv.Elem{Key: src.Uint64n(40), Aux: uint64(i), Kind: obliv.Real}
+		ks.Plane(0).Data()[i] = a.Data()[i].Key
+		ks.Plane(1).Data()[i] = src.Uint64n(3)
+		tie.Data()[i] = src.Uint64()
+	}
+	m := forkjoin.RunMetered(forkjoin.MeterOpts{CacheM: 1 << 10, CacheB: 16, EnableTrace: true}, func(c *forkjoin.Ctx) {
+		SampleSortScheduled(c, sp, a, ks, tie, nil, nil, nil, 0, n, 0xabcdef)
+	})
+	for i := 1; i < n; i++ {
+		x, y := ks.Plane(0).Data(), ks.Plane(1).Data()
+		if x[i-1] > x[i] || (x[i-1] == x[i] && y[i-1] > y[i]) {
+			t.Fatalf("keyed sample sort out of order at %d", i)
+		}
+	}
+	want := forkjoin.Metrics{Work: 155679, Span: 19411, MemOps: 111036, CacheMisses: 3968}
+	wantHash, wantCount := uint64(0xbb2e63071df96a62), int64(148864)
+	if m.Work != want.Work || m.Span != want.Span || m.MemOps != want.MemOps || m.CacheMisses != want.CacheMisses ||
+		m.Trace.Hash != wantHash || m.Trace.Count != wantCount {
+		t.Fatalf("metered keyed sample sort moved: work=%d span=%d memops=%d misses=%d trace=(%#x, %d)",
+			m.Work, m.Span, m.MemOps, m.CacheMisses, m.Trace.Hash, m.Trace.Count)
+	}
+}
