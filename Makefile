@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-shuffle test-parallel vet inline-check race bench bench-sweep benchdiff fuzz-smoke chaos-smoke serve-smoke docker clean
+.PHONY: all build test test-shuffle test-parallel vet inline-check race bench bench-sweep benchdiff fuzz-smoke chaos-smoke serve-smoke perfbench-check docker clean
 
 all: vet build test
 
@@ -111,6 +111,14 @@ chaos-smoke:
 # plan. Exercises the client wire structs against the live server.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# perfbench-check vets and tests the benchmark's own module (perfbench/,
+# replace-linked to the root). The root `go build ./...` skips nested
+# modules, so without this target an API change the benchmark compiles
+# against (relops.Execute, relops.JoinAll, plan.Shape, ...) breaks it
+# unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # docker builds the oblivserve container image (multi-stage, static
 # binary on scratch-ish alpine). Override the tag with DOCKER_TAG.

@@ -112,7 +112,7 @@ func TestQueryFilterWide(t *testing.T) {
 				kept = append(kept, r)
 			}
 		}
-		want := refGroupByCols(kept, AggSum)
+		want := refGroupBy(kept, AggSum)
 
 		got, _, err := RunQuery(Config{Mode: ModeSerial}, tab, q)
 		if err != nil {

@@ -18,6 +18,7 @@ import (
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
 	"oblivmc/internal/oram"
+	"oblivmc/internal/plan"
 	"oblivmc/internal/pram"
 	"oblivmc/internal/prng"
 	"oblivmc/internal/relops"
@@ -460,7 +461,8 @@ func BenchmarkCompact(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			benchRelop(b, n, func(c *forkjoin.Ctx, sp *mem.Space, recs []relops.Record) {
 				a := benchLoad(b, sp, recs)
-				relops.Compact(c, sp, relops.NewArena(), a, func(r relops.Record) bool { return r.Val%2 == 0 }, bitonic.CacheAgnostic{})
+				relops.Execute(c, sp, relops.NewArena(), a, plan.Build(plan.Shape{KeyCols: 1, Filter: true}),
+					func(r relops.Record) bool { return r.Val%2 == 0 }, bitonic.CacheAgnostic{})
 			})
 		})
 	}
@@ -471,7 +473,7 @@ func BenchmarkGroupBy(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			benchRelop(b, n, func(c *forkjoin.Ctx, sp *mem.Space, recs []relops.Record) {
 				a := benchLoad(b, sp, recs)
-				relops.GroupBy(c, sp, relops.NewArena(), a, relops.AggSum, bitonic.CacheAgnostic{})
+				relops.Execute(c, sp, relops.NewArena(), a, plan.Build(plan.Shape{KeyCols: 1, GroupBy: true, Agg: uint8(relops.AggSum)}), nil, bitonic.CacheAgnostic{})
 			})
 		})
 	}
@@ -489,7 +491,7 @@ func BenchmarkGroupByWide(b *testing.B) {
 				benchPool.Run(func(c *forkjoin.Ctx) {
 					sp := mem.NewSpace()
 					a := benchLoadW(b, sp, wrecs, 2)
-					relops.GroupBy(c, sp, relops.NewArena(), a, relops.AggAvg, bitonic.CacheAgnostic{})
+					relops.Execute(c, sp, relops.NewArena(), a, plan.Build(plan.Shape{KeyCols: 2, GroupBy: true, Agg: uint8(relops.AggAvg)}), nil, bitonic.CacheAgnostic{})
 				})
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "elems/s")

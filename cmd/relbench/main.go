@@ -50,6 +50,7 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
+	"oblivmc/internal/plan"
 	"oblivmc/internal/relops"
 )
 
@@ -99,9 +100,9 @@ func rows(n int) []oblivmc.Row {
 // hidden, and exactly the mode the library defaults away from.
 var benchSeed uint64 = 1
 
-func autoSorter() obliv.Sorter    { return &core.ShuffleSorter{FixedSeed: &benchSeed} }
-func bitonicSorter() obliv.Sorter { return bitonic.CacheAgnostic{} }
-func shuffleSorter() obliv.Sorter {
+func autoSorter() obliv.ScheduledSorter    { return &core.ShuffleSorter{FixedSeed: &benchSeed} }
+func bitonicSorter() obliv.ScheduledSorter { return bitonic.CacheAgnostic{} }
+func shuffleSorter() obliv.ScheduledSorter {
 	return &core.ShuffleSorter{FixedSeed: &benchSeed, Crossover: 2}
 }
 
@@ -218,7 +219,10 @@ func main() {
 				log.Fatal(err)
 			}
 
-			groupby := func(srt func() obliv.Sorter) func() {
+			// The unary operator points run the one-stage plan of their
+			// shape through relops.Execute, as the Table layer does.
+			sumPlan := plan.Build(plan.Shape{KeyCols: 1, GroupBy: true, Agg: uint8(relops.AggSum)})
+			groupby := func(srt func() obliv.ScheduledSorter) func() {
 				return func() {
 					pool.Run(func(c *forkjoin.Ctx) {
 						sp := mem.NewSpace()
@@ -226,7 +230,7 @@ func main() {
 						if err != nil {
 							log.Fatal(err)
 						}
-						relops.GroupBy(c, sp, relops.NewArena(), a, relops.AggSum, srt())
+						relops.Execute(c, sp, relops.NewArena(), a, sumPlan, nil, srt())
 					})
 				}
 			}
@@ -249,7 +253,8 @@ func main() {
 						if err != nil {
 							log.Fatal(err)
 						}
-						relops.Compact(c, sp, relops.NewArena(), a, func(r relops.Record) bool { return r.Val%2 == 0 }, autoSorter())
+						relops.Execute(c, sp, relops.NewArena(), a, plan.Build(plan.Shape{KeyCols: 1, Filter: true}),
+							func(r relops.Record) bool { return r.Val%2 == 0 }, autoSorter())
 					})
 				}},
 				{"groupby", groupby(autoSorter)},
@@ -262,7 +267,7 @@ func main() {
 						if err != nil {
 							log.Fatal(err)
 						}
-						relops.GroupBy(c, sp, relops.NewArena(), a, relops.AggAvg, autoSorter())
+						relops.Execute(c, sp, relops.NewArena(), a, plan.Build(plan.Shape{KeyCols: 2, GroupBy: true, Agg: uint8(relops.AggAvg)}), nil, autoSorter())
 					})
 				}},
 				{"join", func() {

@@ -120,7 +120,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	avg, _, err := oblivmc.GroupByCols(oblivmc.Config{Seed: 3}, regional, oblivmc.AggAvg)
+	avg, _, err := oblivmc.GroupBy(oblivmc.Config{Seed: 3}, regional, oblivmc.AggAvg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -246,7 +246,7 @@ const (
 // share table against the edge table on the source column (JoinAllRows with
 // the exact public capacity m — every edge matches exactly one share row),
 // re-keys the matches by destination, and folds them with a grouped sum
-// (GroupByCols/AggSum) over a zero-sentinel row per vertex, so the output
+// (GroupBy/AggSum) over a zero-sentinel row per vertex, so the output
 // always has exactly n rows in vertex order. All arithmetic is integer
 // fixed point: share(u) = (rank(u)·85/100)/outdeg(u), next rank(v) =
 // PageRankScale·15/100 + Σ incoming shares. Vertices with no out-edges
@@ -289,7 +289,7 @@ func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 	if err != nil {
 		return Table{}, nil, err
 	}
-	degOut, rep, err := GroupByCols(cfg, degTbl, AggSum)
+	degOut, rep, err := GroupBy(cfg, degTbl, AggSum)
 	if err != nil {
 		return Table{}, nil, err
 	}
@@ -346,7 +346,7 @@ func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 		if err != nil {
 			return Table{}, nil, err
 		}
-		summed, rep, err := GroupByCols(cfg, contribTbl, AggSum)
+		summed, rep, err := GroupBy(cfg, contribTbl, AggSum)
 		if err != nil {
 			return Table{}, nil, err
 		}

@@ -3,6 +3,9 @@
 // of logical stages (JoinAll → Filter → Distinct → GroupBy → TopK) into a
 // sequence of physical passes that runs strictly fewer O(n log² n)
 // sorting-network passes than executing the stages one operator at a time.
+// That one-operator-at-a-time execution is itself a plan (BuildStaged),
+// so the fused and the staged pipelines share one executor,
+// relops.Execute, and differ only in which passes they list.
 // The join stage is binary and therefore executed by the query layer
 // (which holds both relations), but it is planned here: its sort-pass
 // accounting and its rule-1 fusion — dropping the join's propagate+compact
@@ -12,9 +15,8 @@
 // Obliviousness: every planner decision is a pure function of the *query
 // shape* — which stages are present, the aggregation kind, k, and the
 // declared key-only-ness of the filter — never of the relation contents.
-// The physical passes themselves are the same data-independent primitives
-// the stand-alone operators use (sorting networks, segmented scans, fixed
-// elementwise passes), so a planned pipeline's trace remains a function of
+// The physical passes themselves are data-independent primitives (sorting
+// networks, segmented scans, fixed elementwise passes), so a planned pipeline's trace remains a function of
 // the relation size and the public query shape only. Rewriting *which*
 // sorts run is safe precisely because comparator schedules are
 // data-independent (the property the paper's §E.1 bitonic construction and
@@ -229,7 +231,7 @@ type Plan struct {
 	// SortPasses counts the full sorting-network passes the plan runs.
 	SortPasses int
 	// StagedSortPasses counts the sorts the same shape costs when executed
-	// one stand-alone operator at a time (the pre-planner baseline).
+	// one operator at a time (BuildStaged — the pre-planner baseline).
 	StagedSortPasses int
 	// ColdSortPasses counts the sorts the same shape plans with no input
 	// order token (InputOrder = OrderInput) — the cold-plan baseline the
@@ -333,8 +335,8 @@ func Build(s Shape) Plan {
 		// the relation again, so the join's value-propagation and
 		// output-compaction sorts are deferred away (rule 1 applied to the
 		// join's tail): matches stay scattered among fillers and the next
-		// sort restores contiguity. A stand-alone join pays the full
-		// four-sort operator and establishes the output order itself. The
+		// sort restores contiguity. A join with nothing after it pays
+		// all three of its sorts and establishes the output order itself. The
 		// expansion scrambles the right side either way, so any input
 		// token dies here.
 		deferred := s.Filter || s.Distinct || s.GroupBy || s.TopK > 0
@@ -411,7 +413,7 @@ func Build(s Shape) Plan {
 		}
 	}
 
-	p := Plan{Ops: ops, KeyCols: keyCols, StagedSortPasses: stagedSorts(s),
+	p := Plan{Ops: ops, KeyCols: keyCols, StagedSortPasses: BuildStaged(s).SortPasses,
 		Input: s.InputOrder, Output: output}
 	for _, op := range ops {
 		p.SortPasses += op.SortCost()
@@ -425,25 +427,68 @@ func Build(s Shape) Plan {
 	return p
 }
 
-// stagedSorts counts the sorting passes of the pre-planner execution: each
-// stand-alone operator pays its own sorts (JoinAll 3, Filter 1, Distinct 2,
-// GroupBy 2, TopK 1 — see internal/relops).
-func stagedSorts(s Shape) int {
-	n := 0
+// BuildStaged compiles a query shape into its staged plan: every stage
+// runs as its own operator, paying its own sorts — the pre-fusion baseline
+// Query.NoOptimize selects for A/B benchmarking and differential testing.
+// The stages are
+//
+//	join-all → filter-mark → compact(pos)
+//	         → sort(key,pos) → dedup → compact(pos)
+//	         → sort(key,pos) → aggregate → compact(pos)
+//	         → sort(val↓) → topk
+//
+// with each absent stage dropped (JoinAll 3 sorts, Filter 1, Distinct 2,
+// GroupBy 2, TopK 1). A staged plan stays cold — it never skips a sort on
+// the strength of InputOrder — and under KeyOrderOut (without TopK) the last
+// filter/distinct/group-by stage ends in sort(key,pos) instead of
+// compact(pos), so it delivers the same order the fused plan does. Like
+// Build it is a pure function of s.
+func BuildStaged(s Shape) Plan {
+	keyCols := s.KeyCols
+	if keyCols < 1 {
+		keyCols = 1
+	}
+	out := s.InputOrder
+	if out == OrderPos {
+		out = OrderInput
+	}
+	var ops []Op
 	if s.Join {
-		n += joinSorts
+		ops = append(ops, Op{Kind: OpJoinAll})
+		out = OrderPos
+	}
+	// compact ends a filter/distinct/group-by stage; last marks the final
+	// one, which restores the requested output order.
+	compact := func(last bool) {
+		if last && s.KeyOrderOut && s.TopK == 0 {
+			ops = append(ops, Op{Kind: OpSortKey})
+			out = OrderKeyPos
+			return
+		}
+		ops = append(ops, Op{Kind: OpCompactPos})
+		out = OrderPos
 	}
 	if s.Filter {
-		n++
+		ops = append(ops, Op{Kind: OpFilterMark})
+		compact(!s.Distinct && !s.GroupBy)
 	}
 	if s.Distinct {
-		n += 2
+		ops = append(ops, Op{Kind: OpSortKey}, Op{Kind: OpDedup})
+		compact(!s.GroupBy)
 	}
 	if s.GroupBy {
-		n += 2
+		ops = append(ops, Op{Kind: OpSortKey}, Op{Kind: OpAggregate, Agg: s.Agg})
+		compact(true)
 	}
 	if s.TopK > 0 {
-		n++
+		ops = append(ops, Op{Kind: OpSortValDesc}, Op{Kind: OpTopK, K: s.TopK})
+		out = OrderValDesc
 	}
-	return n
+	p := Plan{Ops: ops, KeyCols: keyCols, Input: s.InputOrder, Output: out}
+	for _, op := range ops {
+		p.SortPasses += op.SortCost()
+	}
+	p.StagedSortPasses = p.SortPasses
+	p.ColdSortPasses = p.SortPasses
+	return p
 }

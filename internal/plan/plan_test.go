@@ -264,3 +264,51 @@ func TestOrderPosInputIsNoToken(t *testing.T) {
 		}
 	}
 }
+
+// TestStagedPlans pins BuildStaged against Build: for every shape, input
+// order and output mode, with and without a join, the staged plan costs
+// exactly Build's StagedSortPasses, stays cold (the input order never
+// removes a sort) and delivers the fused plan's output order; a
+// single-stage cold shape compiles to the same passes either way.
+func TestStagedPlans(t *testing.T) {
+	for _, base := range ordersAndShapes() {
+		for _, join := range []bool{false, true} {
+			s := base
+			s.Join = join
+			fused, staged := Build(s), BuildStaged(s)
+			if staged.SortPasses != fused.StagedSortPasses || staged.StagedSortPasses != staged.SortPasses ||
+				staged.ColdSortPasses != staged.SortPasses {
+				t.Fatalf("shape %+v: staged %d sorts (staged %d, cold %d), Build says staged %d (%s)",
+					s, staged.SortPasses, staged.StagedSortPasses, staged.ColdSortPasses, fused.StagedSortPasses, staged)
+			}
+			cold := s
+			cold.InputOrder = OrderInput
+			if c := BuildStaged(cold); c.SortPasses != staged.SortPasses {
+				t.Fatalf("shape %+v: staged plan skipped a sort on its input order (%d vs cold %d)", s, staged.SortPasses, c.SortPasses)
+			}
+			if staged.Output != fused.Output {
+				t.Fatalf("shape %+v: staged output %v, fused %v", s, staged.Output, fused.Output)
+			}
+			stages := 0
+			for _, b := range []bool{s.Join, s.Filter, s.Distinct, s.GroupBy, s.TopK > 0} {
+				if b {
+					stages++
+				}
+			}
+			if stages == 1 && !s.KeyOrderOut && s.InputOrder == OrderInput && staged.String() != fused.String() {
+				t.Fatalf("single-stage shape %+v: staged %s, fused %s", s, staged, fused)
+			}
+		}
+	}
+
+	full := Shape{Filter: true, Distinct: true, GroupBy: true, Agg: 1, TopK: 3}
+	if got, want := BuildStaged(full).String(),
+		"filter-mark → compact(pos) → sort(key,pos) → dedup → compact(pos) → sort(key,pos) → aggregate → compact(pos) → sort(val↓) → topk [6 sorts, staged 6]"; got != want {
+		t.Fatalf("staged full pipeline = %q, want %q", got, want)
+	}
+	keyOut := Shape{Filter: true, GroupBy: true, KeyOrderOut: true}
+	if got, want := BuildStaged(keyOut).String(),
+		"filter-mark → compact(pos) → sort(key,pos) → aggregate → sort(key,pos) [3 sorts, staged 3]"; got != want {
+		t.Fatalf("staged key-ordered pipeline = %q, want %q", got, want)
+	}
+}

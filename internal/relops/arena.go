@@ -68,7 +68,7 @@ func (ar *Arena) KeyScratch(sp *mem.Space, n, w int) *obliv.KeySchedule {
 	return obliv.NewKeySchedule(ar.keyScr, n, w)
 }
 
-// Ranks returns the prefix-rank array of length n (TopK).
+// Ranks returns the prefix-rank array of length n (the top-k rank cut).
 func (ar *Arena) Ranks(sp *mem.Space, n int) *mem.Array[uint64] {
 	if ar == nil {
 		return mem.Alloc[uint64](sp, n)

@@ -13,12 +13,13 @@ import (
 // referenced by OpFilterMark / WithFilter ops (nil when the shape has no
 // filter); it must be a pure function of the record.
 //
-// Every pass is one of the same data-independent primitives the
-// stand-alone operators are built from, so the trace of a planned pipeline
-// is a function of (len(r), r.W, pl) only — and pl itself is a function of
-// the public query shape, which includes the key width. ar supplies
-// reusable scratch (nil = allocate fresh).
-func Execute(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pl plan.Plan, pred func(Record) bool, srt obliv.Sorter) int {
+// Execute is the one relational executor: a fused plan (plan.Build), a
+// staged one (plan.BuildStaged) and a single operator — the one-stage plan
+// of its shape — all run here. Every pass is a data-independent primitive,
+// so the trace of a pipeline is a function of (len(r), r.W, pl) only — and
+// pl itself is a function of the public query shape, which includes the
+// key width. ar supplies reusable scratch (nil = allocate fresh).
+func Execute(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pl plan.Plan, pred func(Record) bool, srt obliv.ScheduledSorter) int {
 	for _, op := range pl.Ops {
 		// Cancellation checkpoint between passes: the pass boundary is
 		// public plan shape, so an abort here reveals only the pass index.
@@ -51,6 +52,11 @@ func Execute(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pl plan.Plan, pre
 		}
 	}
 	return countReal(r.A)
+}
+
+// recordOf extracts the relational record carried by a real element.
+func recordOf(e obliv.Elem) Record {
+	return Record{Key: e.Key, Key2: e.Key2, Val: e.Val}
 }
 
 // filterOf returns the predicate an op's elementwise pass must apply, or
@@ -118,7 +124,7 @@ func dedupDrop(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, withAgg bool, a
 
 // aggregateDrop gives every key group of a key-sorted relation its
 // aggregate under agg, installs it on the group head, and drops non-heads
-// to fillers in place (GroupBy minus its sorts). pred, when non-nil, is the
+// to fillers in place. pred, when non-nil, is the
 // pushed-down key-only filter merged into the same pass.
 func aggregateDrop(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, agg AggKind, pred func(Record) bool) {
 	aggregateGroups(c, sp, r, agg)
@@ -137,6 +143,42 @@ func aggregateDrop(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, agg AggKind
 				e.Lbl = 0
 				e.Mark = 0
 			} else {
+				e = obliv.Elem{}
+			}
+			a.Set(c, i, e)
+		}
+	})
+}
+
+// rankCut keeps the first k real records of a (by oblivious inclusive
+// prefix rank) and drops everything else to fillers. On a value-sorted
+// relation (plan.OpSortValDesc) that is the top-k cut: a record with
+// Val == 0 shares the descending sort key obliv.InfKey with the fillers, so
+// survivors are selected by oblivious rank rather than by position — within
+// the tied tail a filler may precede a real record, which every pass here
+// tolerates (fillers carry the InfKey sentinel in every schedule word).
+func rankCut(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], k int) {
+	n := a.Len()
+	rank := ar.Ranks(sp, n)
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := a.Get(c, i)
+			c.Op(1)
+			var r uint64
+			if e.Kind == obliv.Real {
+				r = 1
+			}
+			rank.Set(c, i, r)
+		}
+	})
+	obliv.PrefixSumU64(c, sp, rank, true)
+
+	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			e := a.Get(c, i)
+			r := rank.Get(c, i)
+			c.Op(1)
+			if e.Kind != obliv.Real || r > uint64(k) {
 				e = obliv.Elem{}
 			}
 			a.Set(c, i, e)

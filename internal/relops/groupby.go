@@ -6,7 +6,8 @@ import (
 	"oblivmc/internal/obliv"
 )
 
-// AggKind selects the aggregation function of GroupBy.
+// AggKind selects the aggregation function of the aggregate passes
+// (plan.OpAggregate, plan.OpDedupAggregate).
 type AggKind uint8
 
 const (
@@ -132,39 +133,4 @@ func aggregateGroups(c *forkjoin.Ctx, sp *mem.Space, r Rel, agg AggKind) {
 	}
 	valOf, combine := combineOf(agg)
 	obliv.AggregateSuffixBy(c, sp, r.A, same, valOf, combine, install)
-}
-
-// GroupBy obliviously aggregates r by its key columns: afterwards r holds
-// one record per distinct key tuple whose Val is the aggregate of the
-// group's values under agg, ordered by the earliest original position of
-// the group's members, and the group count is returned.
-//
-// Pipeline (§F composition, mirroring the paper's group-by sketch): sort by
-// (key columns..., position), segmented suffix-aggregation gives every
-// group head the full-group aggregate, a fixed neighbor-compare pass marks
-// the heads and installs the aggregate as their Val, and compaction keeps
-// only the heads. All phases are data-independent; the trace depends only
-// on (len, width, agg) — all public. ar supplies reusable scratch (nil =
-// allocate fresh).
-func GroupBy(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, agg AggKind, srt obliv.Sorter) int {
-	sortSched(c, sp, ar, r.A, keyIdxSched(r.W), srt)
-
-	aggregateGroups(c, sp, r, agg)
-
-	// Group heads (inclusive suffix aggregate over the whole group) adopt
-	// the aggregate as their value; markBoundaries then flags exactly them.
-	markBoundaries(c, sp, ar, r)
-	a := r.A
-	forkjoin.ParallelRange(c, 0, a.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := a.Get(c, i)
-			c.Op(1)
-			if e.Mark == 1 {
-				e.Val = e.Lbl
-			}
-			e.Lbl = 0
-			a.Set(c, i, e)
-		}
-	})
-	return compactMarked(c, sp, ar, a, srt)
 }

@@ -50,7 +50,7 @@ import (
 // (Tag tagLeft, Aux holding the within-group left index) — plus the true
 // match count, read raw outside the adversary's view. maxOut and the
 // relation shapes fully determine the trace.
-func joinExpand(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.Sorter) (Rel, int) {
+func joinExpand(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.ScheduledSorter) (Rel, int) {
 	if left.W != right.W {
 		panic(fmt.Sprintf("relops: join of width-%d and width-%d relations", left.W, right.W))
 	}
@@ -239,7 +239,7 @@ func sameGroupLi(w int) func(x, y obliv.Elem) bool {
 // matches; the count tells the caller what capacity a retry needs. A
 // maxOut outside [1, MaxRows] returns ErrBadCapacity (CheckCapacity).
 // ar supplies reusable scratch (nil = allocate fresh).
-func JoinAll(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.Sorter) (Rel, int, error) {
+func JoinAll(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.ScheduledSorter) (Rel, int, error) {
 	if err := CheckCapacity(int64(maxOut)); err != nil {
 		return Rel{}, 0, err
 	}
@@ -285,11 +285,7 @@ func JoinAll(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut 
 
 	// Step 4d: compact to the public output order with the snapshotted
 	// schedule; everything but the matched copies becomes a filler.
-	ss, ok := srt.(obliv.ScheduledSorter)
-	if !ok {
-		panic(fmt.Sprintf("relops: sorter %s does not support key schedules (obliv.ScheduledSorter)", srt.Name()))
-	}
-	ss.SortScheduled(c, sp, wrk.A, ks, ar.ElemScratch(sp, n), kscr, 0, n)
+	srt.SortScheduled(c, sp, wrk.A, ks, ar.ElemScratch(sp, n), kscr, 0, n)
 	forkjoin.ParallelRange(c, 0, n, passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := wrk.A.Get(c, i)
@@ -320,7 +316,7 @@ func JoinAll(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut 
 // NextPow2(NextPow2(len(left)+len(right)) + NextPow2(maxOut)) — a function
 // of the public shapes. Match count and overflow behave exactly as in
 // JoinAll.
-func JoinAllDeferred(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.Sorter) (Rel, int, error) {
+func JoinAllDeferred(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, left, right Rel, maxOut int, srt obliv.ScheduledSorter) (Rel, int, error) {
 	if err := CheckCapacity(int64(maxOut)); err != nil {
 		return Rel{}, 0, err
 	}

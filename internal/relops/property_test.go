@@ -172,7 +172,7 @@ func checkGroupBy(t testing.TB, seed uint64, n, w, dist int, agg AggKind) {
 	want := refGroupBy(recs, agg, w > 1)
 	sp := mem.NewSpace()
 	a := mustLoadW(t, sp, recs, w)
-	count := GroupBy(testCtx(), sp, NewArena(), a, agg, testSorter(a.Len()))
+	count := groupByOp(testCtx(), sp, NewArena(), a, agg, testSorter(a.Len()))
 	if count != len(want) {
 		t.Fatalf("seed=%d n=%d w=%d dist=%d agg=%d: GroupBy count = %d, want %d", seed, n, w, dist, agg, count, len(want))
 	}
@@ -199,7 +199,7 @@ func checkDistinct(t testing.TB, seed uint64, n, w, dist int) {
 	}
 	sp := mem.NewSpace()
 	a := mustLoadW(t, sp, recs, w)
-	count := Distinct(testCtx(), sp, NewArena(), a, testSorter(a.Len()))
+	count := distinctOp(testCtx(), sp, NewArena(), a, testSorter(a.Len()))
 	if count != len(want) {
 		t.Fatalf("seed=%d n=%d w=%d dist=%d: Distinct count = %d, want %d", seed, n, w, dist, count, len(want))
 	}

@@ -42,13 +42,13 @@
 // memory outside the adversary's view (harness diagnostics, same
 // convention as obliv.BinPlace's overflow count).
 //
-// Two execution surfaces share these passes: the stand-alone operators
-// (Compact, Distinct, GroupBy, Join, TopK) and the fused executor
-// (Execute, engine.go) that runs the pass sequence produced by the
-// internal/plan sort-fusion planner. Both sort through the key-schedule
-// fast path (obliv.ScheduledSorter — now a hard requirement of the
-// relational sorts), and both draw their scratch from an Arena when one is
-// supplied.
+// One executor runs the unary operators: Execute (engine.go) runs the pass
+// sequence of an internal/plan plan — fused (plan.Build), staged
+// (plan.BuildStaged), or the one-stage plan of a single Filter, Distinct,
+// GroupBy or TopK. The binary joins (Join, JoinAll, JoinAllDeferred) and
+// the capacity advisor sit beside it. Every sort goes through the
+// key-schedule path of the statically typed obliv.ScheduledSorter, and all
+// scratch comes from an Arena when one is supplied.
 package relops
 
 import (
@@ -333,7 +333,7 @@ func sameGroup(w int) func(x, y obliv.Elem) bool {
 // (length, sc.w) exactly for the networks, (length, sc.w, coins, permuted
 // key order) for the shuffle composition (input-independent in
 // distribution over its secret permutation; see core.ShuffleSorter).
-func sortSched(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], sc schedule, srt obliv.Sorter) {
+func sortSched(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], sc schedule, srt obliv.ScheduledSorter) {
 	n := a.Len()
 	if n <= 1 {
 		return
@@ -342,16 +342,12 @@ func sortSched(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Ele
 	// injection point (a no-op unless a test armed it).
 	c.Check("relops.sort")
 	faultinject.Hit("sort.pass")
-	ss, ok := srt.(obliv.ScheduledSorter)
-	if !ok {
-		panic(fmt.Sprintf("relops: sorter %s does not support key schedules (obliv.ScheduledSorter)", srt.Name()))
-	}
 	ks := ar.Keys(sp, n, sc.w)
 	ks.Tie = sc.tie
 	kscr := ar.KeyScratch(sp, n, sc.w)
 	kscr.Tie = sc.tie // cache-agnostic merges swap the schedule roles
 	obliv.BuildKeySchedule(c, a, ks, 0, n, sc.emit)
-	ss.SortScheduled(c, sp, a, ks, ar.ElemScratch(sp, n), kscr, 0, n)
+	srt.SortScheduled(c, sp, a, ks, ar.ElemScratch(sp, n), kscr, 0, n)
 }
 
 // markBoundaries sets Mark=1 on every real element whose predecessor
@@ -394,10 +390,9 @@ func markBoundaries(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel) {
 // compactMarked obliviously compacts a in place: records with Mark==1 move
 // to the front ordered by original position (Aux), everything else becomes
 // a filler, and all marks are cleared. Returns the survivor count (raw
-// read, outside the adversary's view). This is the oblivious tight
-// compaction at the heart of the stand-alone operators: one
-// data-independent sort plus one elementwise pass.
-func compactMarked(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], srt obliv.Sorter) int {
+// read, outside the adversary's view). This is Join's oblivious tight
+// compaction: one data-independent sort plus one elementwise pass.
+func compactMarked(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, a *mem.Array[obliv.Elem], srt obliv.ScheduledSorter) int {
 	sortSched(c, sp, ar, a, markSched(), srt)
 	forkjoin.ParallelRange(c, 0, a.Len(), passGrain, func(c *forkjoin.Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {

@@ -13,6 +13,7 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
+	"oblivmc/internal/plan"
 	"oblivmc/internal/prng"
 )
 
@@ -65,7 +66,7 @@ func mustLoadW(t testing.TB, sp *mem.Space, recs []Record, w int) Rel {
 // (The trace-fingerprint tests pin their backends explicitly and do not go
 // through this helper: the shuffle backend's per-seed trace determinism is
 // weaker, and its fingerprint guarantees are asserted by its own tests.)
-func testSorter(n int) obliv.Sorter {
+func testSorter(n int) obliv.ScheduledSorter {
 	if os.Getenv("OBLIVMC_SORT_BACKEND") == "shuffle" {
 		seed := uint64(0x7e57)
 		return &core.ShuffleSorter{FixedSeed: &seed, Crossover: 2}
@@ -74,6 +75,30 @@ func testSorter(n int) obliv.Sorter {
 		return obliv.SelectionNetwork{}
 	}
 	return bitonic.CacheAgnostic{}
+}
+
+// The unary operators have no entry points of their own: run alone, each is
+// the one-stage plan of its shape through Execute — the same passes the
+// query layer runs for Filter, Distinct, GroupBy and TopK. These helpers
+// keep the operator tests reading like operator calls.
+
+func compactOp(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, pred func(Record) bool, srt obliv.ScheduledSorter) int {
+	return Execute(c, sp, ar, r, plan.Build(plan.Shape{KeyCols: r.W, Filter: true}), pred, srt)
+}
+
+func distinctOp(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, srt obliv.ScheduledSorter) int {
+	return Execute(c, sp, ar, r, plan.Build(plan.Shape{KeyCols: r.W, Distinct: true}), nil, srt)
+}
+
+func groupByOp(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, agg AggKind, srt obliv.ScheduledSorter) int {
+	return Execute(c, sp, ar, r, plan.Build(plan.Shape{KeyCols: r.W, GroupBy: true, Agg: uint8(agg)}), nil, srt)
+}
+
+// topKOp lists the top-k passes directly: a plan.Shape with TopK 0 has no
+// top-k stage, while the cut here must also cover k = 0 (keep nothing).
+func topKOp(c *forkjoin.Ctx, sp *mem.Space, ar *Arena, r Rel, k int, srt obliv.ScheduledSorter) int {
+	pl := plan.Plan{Ops: []plan.Op{{Kind: plan.OpSortValDesc}, {Kind: plan.OpTopK, K: k}}}
+	return Execute(c, sp, ar, r, pl, nil, srt)
 }
 
 func randRecords(src *prng.Source, n int, keySpread, valSpread uint64) []Record {
@@ -126,7 +151,7 @@ func TestCompactRandom(t *testing.T) {
 		}
 		sp := mem.NewSpace()
 		a := mustLoad(t, sp, recs)
-		count := Compact(testCtx(), sp, NewArena(), a, pred, testSorter(a.Len()))
+		count := compactOp(testCtx(), sp, NewArena(), a, pred, testSorter(a.Len()))
 		if count != len(want) {
 			t.Fatalf("n=%d: Compact count = %d, want %d", n, count, len(want))
 		}
@@ -137,7 +162,7 @@ func TestCompactRandom(t *testing.T) {
 func TestCompactNoneSurvive(t *testing.T) {
 	sp := mem.NewSpace()
 	a := mustLoad(t, sp, randRecords(prng.New(5), 16, 10, 10))
-	count := Compact(testCtx(), sp, NewArena(), a, func(Record) bool { return false }, obliv.SelectionNetwork{})
+	count := compactOp(testCtx(), sp, NewArena(), a, func(Record) bool { return false }, obliv.SelectionNetwork{})
 	if count != 0 || len(Unload(a)) != 0 {
 		t.Fatalf("expected empty result, got count=%d records=%v", count, Unload(a))
 	}
@@ -157,7 +182,7 @@ func TestDistinctRandom(t *testing.T) {
 		}
 		sp := mem.NewSpace()
 		a := mustLoad(t, sp, recs)
-		count := Distinct(testCtx(), sp, NewArena(), a, testSorter(a.Len()))
+		count := distinctOp(testCtx(), sp, NewArena(), a, testSorter(a.Len()))
 		if count != len(want) {
 			t.Fatalf("n=%d: Distinct count = %d, want %d", n, count, len(want))
 		}
@@ -183,7 +208,7 @@ func TestDistinctWideKeys(t *testing.T) {
 		}
 		sp := mem.NewSpace()
 		a := mustLoadW(t, sp, recs, 2)
-		count := Distinct(testCtx(), sp, NewArena(), a, testSorter(a.Len()))
+		count := distinctOp(testCtx(), sp, NewArena(), a, testSorter(a.Len()))
 		if count != len(want) {
 			t.Fatalf("n=%d: wide Distinct count = %d, want %d", n, count, len(want))
 		}
@@ -261,7 +286,7 @@ func TestGroupByRandom(t *testing.T) {
 			want := refGroupBy(recs, agg, false)
 			sp := mem.NewSpace()
 			a := mustLoad(t, sp, recs)
-			count := GroupBy(testCtx(), sp, NewArena(), a, agg, testSorter(a.Len()))
+			count := groupByOp(testCtx(), sp, NewArena(), a, agg, testSorter(a.Len()))
 			if count != len(want) {
 				t.Fatalf("agg=%d n=%d: GroupBy count = %d, want %d", agg, n, count, len(want))
 			}
@@ -280,7 +305,7 @@ func TestGroupByWideKeys(t *testing.T) {
 			want := refGroupBy(recs, agg, true)
 			sp := mem.NewSpace()
 			a := mustLoadW(t, sp, recs, 2)
-			count := GroupBy(testCtx(), sp, NewArena(), a, agg, testSorter(a.Len()))
+			count := groupByOp(testCtx(), sp, NewArena(), a, agg, testSorter(a.Len()))
 			if count != len(want) {
 				t.Fatalf("agg=%d n=%d: wide GroupBy count = %d, want %d", agg, n, count, len(want))
 			}
@@ -303,7 +328,7 @@ func TestGroupByMaxLegalKeys(t *testing.T) {
 	}
 	sp := mem.NewSpace()
 	a := mustLoadW(t, sp, recs, 2)
-	count := GroupBy(testCtx(), sp, NewArena(), a, AggAvg, obliv.SelectionNetwork{})
+	count := groupByOp(testCtx(), sp, NewArena(), a, AggAvg, obliv.SelectionNetwork{})
 	want := []Record{
 		{Key: maxKey, Key2: maxKey, Val: 20},
 		{Key: 0, Key2: 1, Val: 1},
@@ -431,7 +456,7 @@ func TestTopKRandom(t *testing.T) {
 
 			sp := mem.NewSpace()
 			a := mustLoad(t, sp, recs)
-			count := TopK(testCtx(), sp, NewArena(), a, k, testSorter(a.Len()))
+			count := topKOp(testCtx(), sp, NewArena(), a, k, testSorter(a.Len()))
 			wantCount := k
 			if wantCount > n {
 				wantCount = n
@@ -463,7 +488,7 @@ func TestTopKTiesAndZeros(t *testing.T) {
 
 		sp := mem.NewSpace()
 		a := mustLoad(t, sp, recs)
-		count := TopK(testCtx(), sp, NewArena(), a, k, obliv.SelectionNetwork{})
+		count := topKOp(testCtx(), sp, NewArena(), a, k, obliv.SelectionNetwork{})
 		got := Unload(a)
 		wantCount := k
 		if wantCount > n {
@@ -552,9 +577,9 @@ func TestArenaReuseMatchesFreshScratch(t *testing.T) {
 		sp := mem.NewSpace()
 		srt := bitonic.CacheAgnostic{}
 		a := mustLoad(t, sp, recs)
-		Distinct(testCtx(), sp, ar, a, srt)
+		distinctOp(testCtx(), sp, ar, a, srt)
 		b := mustLoad(t, sp, recs)
-		GroupBy(testCtx(), sp, ar, b, AggSum, srt)
+		groupByOp(testCtx(), sp, ar, b, AggSum, srt)
 		return Unload(a), Unload(b)
 	}
 	d1, g1 := run(NewArena())
@@ -575,11 +600,11 @@ func TestArenaMixedWidths(t *testing.T) {
 	srt := bitonic.CacheAgnostic{}
 
 	a := mustLoad(t, sp, narrow)
-	GroupBy(testCtx(), sp, ar, a, AggSum, srt)
+	groupByOp(testCtx(), sp, ar, a, AggSum, srt)
 	b := mustLoadW(t, sp, wide, 2)
-	GroupBy(testCtx(), sp, ar, b, AggAvg, srt)
+	groupByOp(testCtx(), sp, ar, b, AggAvg, srt)
 	c := mustLoad(t, sp, narrow)
-	GroupBy(testCtx(), sp, ar, c, AggSum, srt)
+	groupByOp(testCtx(), sp, ar, c, AggSum, srt)
 
 	checkRecords(t, Unload(a), refGroupBy(narrow, AggSum, false), "narrow before wide")
 	checkRecords(t, Unload(b), refGroupBy(wide, AggAvg, true), "wide between narrows")
@@ -612,7 +637,7 @@ func TestArenaRebindsAcrossSpaces(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		sp := mem.NewSpace()
 		a := mustLoad(t, sp, recs)
-		GroupBy(testCtx(), sp, arr, a, AggSum, bitonic.CacheAgnostic{})
+		groupByOp(testCtx(), sp, arr, a, AggSum, bitonic.CacheAgnostic{})
 		got[round] = Unload(a)
 	}
 	checkRecords(t, got[1], got[0], "arena across spaces")
@@ -628,7 +653,7 @@ func TestMarkBoundariesParallelRace(t *testing.T) {
 		sp := mem.NewSpace()
 		srt := bitonic.CacheAgnostic{}
 		a := mustLoad(t, sp, recs)
-		if got, want := Distinct(c, sp, NewArena(), a, srt), 64; got != want {
+		if got, want := distinctOp(c, sp, NewArena(), a, srt), 64; got != want {
 			t.Errorf("Distinct under parallel pool: %d keys, want %d", got, want)
 		}
 	})
@@ -646,19 +671,19 @@ func TestOperatorsParallel(t *testing.T) {
 		srt := bitonic.CacheAgnostic{}
 
 		a := mustLoad(t, sp, recs)
-		Compact(c, sp, NewArena(), a, func(r Record) bool { return r.Val%2 == 0 }, srt)
+		compactOp(c, sp, NewArena(), a, func(r Record) bool { return r.Val%2 == 0 }, srt)
 
 		b := mustLoad(t, sp, recs)
-		Distinct(c, sp, nil, b, srt)
+		distinctOp(c, sp, nil, b, srt)
 
 		g := mustLoad(t, sp, recs)
-		GroupBy(c, sp, NewArena(), g, AggSum, srt)
+		groupByOp(c, sp, NewArena(), g, AggSum, srt)
 
 		gw := mustLoadW(t, sp, wrecs, 2)
-		GroupBy(c, sp, NewArena(), gw, AggVar, srt)
+		groupByOp(c, sp, NewArena(), gw, AggVar, srt)
 
 		tk := mustLoad(t, sp, recs)
-		TopK(c, sp, NewArena(), tk, 10, srt)
+		topKOp(c, sp, NewArena(), tk, 10, srt)
 
 		left := mustLoad(t, sp, []Record{{Key: 1, Val: 5}, {Key: 2, Val: 6}})
 		right := mustLoad(t, sp, recs[:50])

@@ -25,7 +25,7 @@ import (
 
 // shuffleSorter forces the shuffle composition at every size; fresh per
 // run (the sorter counts its sorts).
-func shuffleSorter(seed uint64) obliv.Sorter {
+func shuffleSorter(seed uint64) obliv.ScheduledSorter {
 	return &core.ShuffleSorter{FixedSeed: &seed, Crossover: 2}
 }
 
@@ -36,10 +36,10 @@ func checkGroupByBackends(t testing.TB, seed, sortSeed uint64, n, w, dist int, a
 	t.Helper()
 	src := prng.New(seed)
 	recs := genRecords(src, n, w, dist)
-	run := func(srt obliv.Sorter) []Record {
+	run := func(srt obliv.ScheduledSorter) []Record {
 		sp := mem.NewSpace()
 		a := mustLoadW(t, sp, recs, w)
-		GroupBy(testCtx(), sp, NewArena(), a, agg, srt)
+		groupByOp(testCtx(), sp, NewArena(), a, agg, srt)
 		return Unload(a)
 	}
 	checkRecords(t, run(shuffleSorter(sortSeed)), run(bitonic.CacheAgnostic{}), "GroupBy backends")
@@ -60,17 +60,17 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 
 				src := prng.New(seed ^ 0xD15)
 				recs := genRecords(src, n, w, dist)
-				runOp := func(srt obliv.Sorter, op func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.Sorter)) []Record {
+				runOp := func(srt obliv.ScheduledSorter, op func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter)) []Record {
 					sp := mem.NewSpace()
 					r := mustLoadW(t, sp, recs, w)
 					op(testCtx(), sp, r, srt)
 					return Unload(r)
 				}
-				distinct := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.Sorter) {
-					Distinct(c, sp, NewArena(), r, srt)
+				distinct := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter) {
+					distinctOp(c, sp, NewArena(), r, srt)
 				}
-				compact := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.Sorter) {
-					Compact(c, sp, NewArena(), r, func(rec Record) bool { return rec.Val%3 != 0 }, srt)
+				compact := func(c *forkjoin.Ctx, sp *mem.Space, r Rel, srt obliv.ScheduledSorter) {
+					compactOp(c, sp, NewArena(), r, func(rec Record) bool { return rec.Val%3 != 0 }, srt)
 				}
 				checkRecords(t, runOp(shuffleSorter(seed), distinct), runOp(bitonic.CacheAgnostic{}, distinct), "Distinct backends")
 				checkRecords(t, runOp(shuffleSorter(seed), compact), runOp(bitonic.CacheAgnostic{}, compact), "Compact backends")
@@ -78,7 +78,7 @@ func TestBackendEquivalenceProperty(t *testing.T) {
 				if n >= 2 {
 					lrecs := genRecords(src, (n+1)/2, w, dist)
 					maxOut := len(lrecs)*n + 1
-					runJoin := func(srt obliv.Sorter) []Joined {
+					runJoin := func(srt obliv.ScheduledSorter) []Joined {
 						sp := mem.NewSpace()
 						l := mustLoadW(t, sp, lrecs, w)
 						r := mustLoadW(t, sp, recs, w)
@@ -123,7 +123,7 @@ func TestShuffleBackendFixedSeedTraceValueIndependent(t *testing.T) {
 			body := func(scale, bias, valSeed uint64) oblivtest.Body {
 				return func(c *forkjoin.Ctx, sp *mem.Space) {
 					r := mustLoadW(t, sp, rankedRecords(n, w, scale, bias, valSeed), w)
-					GroupBy(c, sp, NewArena(), r, agg, shuffleSorter(0xF00D))
+					groupByOp(c, sp, NewArena(), r, agg, shuffleSorter(0xF00D))
 				}
 			}
 			oblivtest.FingerprintEqual(t, "GroupBy shuffle backend",
@@ -155,7 +155,7 @@ func TestShuffleBackendLockstep(t *testing.T) {
 				}
 			}
 			r := mustLoadW(t, sp, recs, w)
-			GroupBy(c, sp, NewArena(), r, AggSum, shuffleSorter(0xCAFE))
+			groupByOp(c, sp, NewArena(), r, AggSum, shuffleSorter(0xCAFE))
 		})
 }
 
@@ -165,7 +165,7 @@ func TestShuffleBackendTraceShapeSensitive(t *testing.T) {
 	body := func(n int) oblivtest.Body {
 		return func(c *forkjoin.Ctx, sp *mem.Space) {
 			r := mustLoadW(t, sp, rankedRecords(n, 1, 1, 0, 1), 1)
-			GroupBy(c, sp, NewArena(), r, AggSum, shuffleSorter(1))
+			groupByOp(c, sp, NewArena(), r, AggSum, shuffleSorter(1))
 		}
 	}
 	oblivtest.Different(t, "GroupBy shuffle size", body(24), body(48))

@@ -42,23 +42,43 @@ func (s countingSorter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Arr
 	s.inner.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
 }
 
+// executedSorts runs q over tab through the query layer's one execution
+// body under a counting selection-network sorter and returns the sorting
+// passes it executed — the staged plan's when q.NoOptimize is set.
+func executedSorts(t *testing.T, tab Table, q Query) int {
+	t.Helper()
+	kind, err := queryAgg(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	pl := q.compile(kind, tab.Width(), tab.order)
+	if _, _, err := runQueryPlanned(exec{cfg: Config{Mode: ModeSerial}}, tab, q, pl,
+		countingSorter{inner: obliv.SelectionNetwork{}, n: &n}); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // queryShapes enumerates every stage combination, with both filter
-// declarations where a filter is present.
+// declarations where a filter is present and with and without KeyOrderOut.
 func queryShapes() []Query {
 	var out []Query
 	for _, filter := range []int{0, 1, 2} { // none, value-filter, key-only filter
 		for _, distinct := range []bool{false, true} {
 			for _, agg := range []Agg{AggNone, AggSum, AggCount, AggMin, AggAvg, AggVar} {
 				for _, k := range []int{0, 3} {
-					q := Query{Distinct: distinct, GroupBy: agg, TopK: k}
-					switch filter {
-					case 1:
-						q.Filter = func(r Row) bool { return r.Val%3 != 0 }
-					case 2:
-						q.Filter = func(r Row) bool { return r.Key%2 == 0 }
-						q.FilterKeyOnly = true
+					for _, keyOut := range []bool{false, true} {
+						q := Query{Distinct: distinct, GroupBy: agg, TopK: k, KeyOrderOut: keyOut}
+						switch filter {
+						case 1:
+							q.Filter = func(r Row) bool { return r.Val%3 != 0 }
+						case 2:
+							q.Filter = func(r Row) bool { return r.Key%2 == 0 }
+							q.FilterKeyOnly = true
+						}
+						out = append(out, q)
 					}
-					out = append(out, q)
 				}
 			}
 		}
@@ -77,16 +97,32 @@ func queryRows(n int) []Row {
 	return rows
 }
 
-// checkQueryResult compares got against the reference semantics of q over
-// rows. For shapes without TopK the row sequence must match exactly. With
-// TopK, value ties make the k-th row's identity implementation-defined
-// ("broken deterministically but arbitrarily"), so the check accepts any
-// valid top-k: correct length, descending values, the top-k value multiset
-// of the pre-TopK relation, and every row present in that relation.
-func checkQueryResult(t *testing.T, label string, got, rows []Row, q Query) {
+// keyOrdered reports whether q delivers its result in key order: it asks
+// for KeyOrderOut and has a filter, distinct or group-by stage to deliver
+// it from (TopK's public order is descending value instead).
+func keyOrdered(q Query) bool {
+	return q.KeyOrderOut && q.TopK == 0 && (q.Filter != nil || q.FilterWide != nil || q.Distinct || q.GroupBy != AggNone)
+}
+
+// checkQueryResult compares the result table res against the reference
+// semantics of q over rows. For shapes without TopK the row sequence must
+// match exactly — in ascending key order, stamped OrderKeys, when
+// keyOrdered(q). With TopK, value ties make the k-th row's identity
+// implementation-defined ("broken deterministically but arbitrarily"), so
+// the check accepts any valid top-k: correct length, descending values, the
+// top-k value multiset of the pre-TopK relation, and every row present in
+// that relation; the result must carry OrderValues.
+func checkQueryResult(t *testing.T, label string, res Table, rows []Row, q Query) {
 	t.Helper()
+	got := res.Rows()
 	if q.TopK == 0 {
 		want := refQuery(rows, q)
+		if keyOrdered(q) {
+			want = keySorted(want)
+			if res.Order() != OrderKeys {
+				t.Fatalf("%s: order token %v, want %v", label, res.Order(), OrderKeys)
+			}
+		}
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d rows, want %d\ngot  %v\nwant %v", label, len(got), len(want), got, want)
 		}
@@ -110,6 +146,9 @@ func checkQueryResult(t *testing.T, label string, got, rows []Row, q Query) {
 		for j := i; j > 0 && vals[j] > vals[j-1]; j-- {
 			vals[j], vals[j-1] = vals[j-1], vals[j]
 		}
+	}
+	if res.Order() != OrderValues {
+		t.Fatalf("%s: order token %v, want %v", label, res.Order(), OrderValues)
 	}
 	wantLen := q.TopK
 	if wantLen > len(preRows) {
@@ -136,8 +175,8 @@ func TestPlannedMatchesReferenceAllShapes(t *testing.T) {
 	rows := queryRows(96)
 	tab := mustTable(t, rows)
 	for i, q := range queryShapes() {
-		label := fmt.Sprintf("shape %d (filter=%v keyonly=%v distinct=%v agg=%d topk=%d)",
-			i, q.Filter != nil, q.FilterKeyOnly, q.Distinct, q.GroupBy, q.TopK)
+		label := fmt.Sprintf("shape %d (filter=%v keyonly=%v distinct=%v agg=%d topk=%d keyout=%v)",
+			i, q.Filter != nil, q.FilterKeyOnly, q.Distinct, q.GroupBy, q.TopK, q.KeyOrderOut)
 
 		fused, _, err := RunQuery(Config{Mode: ModeSerial}, tab, q)
 		if err != nil {
@@ -149,8 +188,8 @@ func TestPlannedMatchesReferenceAllShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: staged: %v", label, err)
 		}
-		checkQueryResult(t, label+" fused", fused.Rows(), rows, q)
-		checkQueryResult(t, label+" staged", base.Rows(), rows, q)
+		checkQueryResult(t, label+" fused", fused, rows, q)
+		checkQueryResult(t, label+" staged", base, rows, q)
 	}
 }
 
@@ -163,21 +202,8 @@ func TestFusedRunsFewerSorts(t *testing.T) {
 	tab := mustTable(t, rows)
 
 	sortsOf := func(q Query, staged bool) int {
-		n := 0
-		srt := countingSorter{inner: obliv.SelectionNetwork{}, n: &n}
-		kind, err := queryAgg(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if staged {
-			_, _, err = runQueryStaged(exec{cfg: Config{Mode: ModeSerial}}, tab, q, kind, srt)
-		} else {
-			_, _, err = runQueryPlanned(exec{cfg: Config{Mode: ModeSerial}}, tab, q, kind, srt)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+		q.NoOptimize = staged
+		return executedSorts(t, tab, q)
 	}
 
 	full := Query{
@@ -229,30 +255,14 @@ func TestWidthOneQueriesKeepTwoPassSchedule(t *testing.T) {
 	}
 
 	// Executed pass count, width 1: the full pipeline runs 2 sorts.
-	tab := mustTable(t, queryRows(64))
-	n := 0
-	if _, _, err := runQueryPlanned(exec{cfg: Config{Mode: ModeSerial}}, tab, q,
-		kind, countingSorter{inner: obliv.SelectionNetwork{}, n: &n}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
+	if n := executedSorts(t, mustTable(t, queryRows(64)), q); n != 2 {
 		t.Fatalf("width-1 fused pipeline executed %d sorts, want 2", n)
 	}
 
 	// Executed pass count, width 2 (no filter — wide filters are a
 	// follow-on): Distinct→GroupBy→TopK fuses to the same 2 sorts.
 	wq := Query{Distinct: true, GroupBy: AggAvg, TopK: 5}
-	wkind, err := queryAgg(wq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wtab := mustWideTable(t, wideQueryRows(64))
-	n = 0
-	if _, _, err := runQueryPlanned(exec{cfg: Config{Mode: ModeSerial}}, wtab, wq,
-		wkind, countingSorter{inner: obliv.SelectionNetwork{}, n: &n}); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
+	if n := executedSorts(t, mustWideTable(t, wideQueryRows(64)), wq); n != 2 {
 		t.Fatalf("width-2 fused pipeline executed %d sorts, want 2", n)
 	}
 }
@@ -443,8 +453,8 @@ func TestJoinedQueryMatchesReference(t *testing.T) {
 		}
 		unary := q
 		unary.Join = nil
-		checkQueryResult(t, label+" fused", fused.Rows(), expanded, unary)
-		checkQueryResult(t, label+" staged", base.Rows(), expanded, unary)
+		checkQueryResult(t, label+" fused", fused, expanded, unary)
+		checkQueryResult(t, label+" staged", base, expanded, unary)
 	}
 }
 
@@ -531,22 +541,10 @@ func TestJoinPlanSortPasses(t *testing.T) {
 func TestJoinedQueryExecutedSorts(t *testing.T) {
 	lt, rt, left, rows := joinedQueryTables(t, 32)
 	q := Query{Join: &JoinSpec{Left: lt, MaxOut: len(refJoinedRows(left, rows)) + 1}, GroupBy: AggSum}
-	kind, err := queryAgg(q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sortsOf := func(staged bool) int {
-		n := 0
-		srt := countingSorter{inner: obliv.SelectionNetwork{}, n: &n}
-		if staged {
-			_, _, err = runQueryStaged(exec{cfg: Config{Mode: ModeSerial}}, rt, q, kind, srt)
-		} else {
-			_, _, err = runQueryPlanned(exec{cfg: Config{Mode: ModeSerial}}, rt, q, kind, srt)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+		q := q
+		q.NoOptimize = staged
+		return executedSorts(t, rt, q)
 	}
 	if fused, staged := sortsOf(false), sortsOf(true); fused != 3 || staged != 5 {
 		t.Fatalf("joined group-by pipeline: fused %d sorts, staged %d — want 3 and 5", fused, staged)

@@ -8,11 +8,9 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
-	"oblivmc/internal/core"
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
-	"oblivmc/internal/plan"
 	"oblivmc/internal/relops"
 )
 
@@ -108,8 +106,9 @@ type QueryStats struct {
 	// ColdSortPasses is what the same query plans with no input order
 	// token — the baseline a token-covered query beats.
 	ColdSortPasses int
-	// Plan is the rendered physical pass sequence (order-aware, e.g.
-	// "in(key,pos) → aggregate [0 sorts, cold 1, staged 2]").
+	// Plan is the query's ExplainTable rendering: the order-aware pass
+	// sequence (e.g. "in(key,pos) → aggregate [0 sorts, cold 1, staged
+	// 2]"), or "staged: ... [N sorts]" for a NoOptimize query.
 	Plan string
 	// Order is the result table's sorted-by token.
 	Order TableOrder
@@ -157,12 +156,12 @@ func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[
 // and the cross-query order tokens a Session feeds back into the planner
 // are themselves functions of prior public shapes.
 type Session struct {
-	cfg     Config
-	pool    *forkjoin.Pool
-	sp      *mem.Space
-	arena   *relops.Arena
-	shuffle *core.ShuffleSorter
-	closed  bool
+	cfg    Config
+	pool   *forkjoin.Pool
+	sp     *mem.Space
+	arena  *relops.Arena
+	sorter obliv.ScheduledSorter
+	closed bool
 
 	// cur is the in-flight query's cancellation token (nil when idle) —
 	// the seam Interrupt trips from other goroutines.
@@ -179,20 +178,12 @@ type Session struct {
 // default) it owns a long-lived work-stealing pool of cfg.Workers workers
 // (GOMAXPROCS when zero); call Close to release it.
 func NewSession(cfg Config) *Session {
-	s := &Session{cfg: cfg, sp: mem.NewSpace(), arena: relops.NewArena()}
+	// One persistent sorter per session: the shuffle backend's caches —
+	// tie planes, Beneš level buffers — are what make cross-request pooling
+	// worthwhile (the bitonic backend is stateless).
+	s := &Session{cfg: cfg, sp: mem.NewSpace(), arena: relops.NewArena(), sorter: relSorter(cfg)}
 	if cfg.Mode == ModeParallel {
 		s.pool = forkjoin.NewPool(cfg.Workers)
-	}
-	// One persistent shuffle sorter per session (it is the stateful
-	// backend whose caches — tie planes, Beneš level buffers — make
-	// cross-request pooling worthwhile). The bitonic backend is stateless,
-	// so sessions hand out the same value every run.
-	switch cfg.SortBackend {
-	case SortBitonic:
-	case SortShuffle:
-		s.shuffle = &core.ShuffleSorter{FixedSeed: shuffleSeed(cfg), Crossover: 2}
-	default:
-		s.shuffle = &core.ShuffleSorter{FixedSeed: shuffleSeed(cfg), Crossover: cfg.SortCrossover}
 	}
 	return s
 }
@@ -215,14 +206,6 @@ func (s *Session) Close() {
 	if s.pool != nil {
 		s.pool.Close()
 	}
-}
-
-// sorter returns the session's scheduled sorter for one run.
-func (s *Session) sorter() obliv.ScheduledSorter {
-	if s.shuffle != nil {
-		return s.shuffle
-	}
-	return relSorter(s.cfg)
 }
 
 // exec assembles the session's execution environment.
@@ -269,23 +252,13 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 	if ctx != nil && ctx.Err() != nil {
 		return Table{}, QueryStats{}, ctxErrOf(ctx, fmt.Errorf("%w (before execution)", ErrCanceled))
 	}
-	if t.Len() == 0 {
-		return Table{}, QueryStats{}, ErrEmptyInput
-	}
-	if q.Filter != nil && t.Width() > 1 {
-		return Table{}, QueryStats{}, errWideFilter("Query.Filter")
-	}
-	if q.Join != nil {
-		if err := checkJoinTables(q.Join.Left, t, q.Join.MaxOut); err != nil {
-			return Table{}, QueryStats{}, err
-		}
-	}
-	kind, err := queryAgg(q)
+	kind, err := checkQuery(t, q)
 	if err != nil {
 		return Table{}, QueryStats{}, err
 	}
+	pl := q.compile(kind, t.Width(), t.order)
 	passes := 0
-	srt := passCounter{inner: s.sorter(), n: &passes}
+	srt := passCounter{inner: s.sorter, n: &passes}
 	cn := new(forkjoin.Cancel)
 	s.cur.Store(cn)
 	defer s.cur.Store(nil)
@@ -293,15 +266,7 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 	defer stop()
 	e := s.exec()
 	e.cancel = cn
-	var (
-		out Table
-		rep *Report
-	)
-	if q.NoOptimize {
-		out, rep, err = runQueryStaged(e, t, q, kind, srt)
-	} else {
-		out, rep, err = runQueryPlanned(e, t, q, kind, srt)
-	}
+	out, rep, err := runQueryPlanned(e, t, q, pl, srt)
 	if err != nil {
 		if errors.Is(err, ErrInternal) {
 			s.poisoned.Store(true)
@@ -312,19 +277,13 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 		}
 		return Table{}, QueryStats{}, err
 	}
-	pl := plan.Build(q.shape(kind, t.Width(), t.order))
-	stats := QueryStats{
+	return out, QueryStats{
 		SortPasses:     passes,
 		ColdSortPasses: pl.ColdSortPasses,
-		Plan:           pl.String(),
+		Plan:           q.explain(pl),
 		Order:          out.order,
 		Report:         rep,
-	}
-	if q.NoOptimize {
-		stats.ColdSortPasses = pl.StagedSortPasses
-		stats.Plan = fmt.Sprintf("staged: %d sorts", pl.StagedSortPasses)
-	}
-	return out, stats, nil
+	}, nil
 }
 
 // Explain renders the order-aware plan q would execute over t in this

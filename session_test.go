@@ -44,7 +44,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 			t.Fatal(err)
 		}
 		label := fmt.Sprintf("shape %d", i)
-		checkQueryResult(t, label+" (session)", got.Rows(), rows, q)
+		checkQueryResult(t, label+" (session)", got, rows, q)
 		if len(got.Rows()) != len(want.Rows()) {
 			t.Fatalf("%s: session %d rows, one-shot %d", label, len(got.Rows()), len(want.Rows()))
 		}
@@ -55,6 +55,39 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		pl := plan.Build(q.shape(kind, 1, OrderNone))
 		if stats.SortPasses != pl.SortPasses {
 			t.Fatalf("%s: executed %d sorts, plan says %d (%s)", label, stats.SortPasses, pl.SortPasses, pl)
+		}
+	}
+}
+
+// TestSessionPlanMatchesExplain pins one plan string per query: for every
+// shape, fused and staged, QueryStats.Plan is exactly ExplainTable's
+// rendering and the executed sort passes are the compiled plan's count.
+func TestSessionPlanMatchesExplain(t *testing.T) {
+	tab := mustTable(t, queryRows(64))
+	sess := NewSession(Config{Mode: ModeSerial})
+	defer sess.Close()
+	for i, q := range queryShapes() {
+		for _, staged := range []bool{false, true} {
+			q.NoOptimize = staged
+			label := fmt.Sprintf("shape %d staged=%v", i, staged)
+			_, stats, err := sess.RunQuery(tab, q)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			want, err := ExplainTable(tab, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Plan != want {
+				t.Fatalf("%s: stats.Plan = %q, Explain = %q", label, stats.Plan, want)
+			}
+			kind, err := queryAgg(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl := q.compile(kind, tab.Width(), tab.Order()); stats.SortPasses != pl.SortPasses {
+				t.Fatalf("%s: executed %d sorts, plan says %d (%s)", label, stats.SortPasses, pl.SortPasses, want)
+			}
 		}
 	}
 }

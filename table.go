@@ -14,13 +14,12 @@ import (
 )
 
 // relSorter resolves cfg's relational sort backend to a fresh scheduled
-// sorter for one run. The shuffle backend is stateful (its sort counter
-// and scratch cache), so exactly one instance must exist per run:
-// construct it once at an operator entry point (Filter/Distinct/GroupBy/
-// TopK/RunQuery, the join surfaces, GroupTotals) and thread it through
-// runTableOp to the stages — never construct per stage. Selection — and,
-// for SortAuto, the per-sort size crossover inside the shuffle sorter —
-// is a function of public shape only.
+// sorter. The shuffle backend is stateful (its sort counter and scratch
+// cache), so exactly one instance must serve a run: construct it once at
+// the run's entry point (or once per Session) and thread it through to the
+// stages — never construct per stage. Selection — and, for SortAuto, the
+// per-sort size crossover inside the shuffle sorter — is a function of
+// public shape only.
 func relSorter(cfg Config) obliv.ScheduledSorter {
 	switch cfg.SortBackend {
 	case SortBitonic:
@@ -110,7 +109,7 @@ type WideRow struct {
 type TableOrder int
 
 const (
-	// OrderNone — no known order (fresh loads, staged executions).
+	// OrderNone — no known order (fresh loads, position-ordered results).
 	OrderNone TableOrder = iota
 	// OrderKeys — ascending (key tuple, first-occurrence) order: the
 	// output of a KeyOrderOut Distinct/GroupBy query. A follow-up query
@@ -157,8 +156,8 @@ func tableOrderOf(o plan.Order) TableOrder {
 }
 
 // Table is a relation of rows accepted by the oblivious relational
-// operators (Filter, Distinct, GroupBy, GroupByCols, Join, TopK,
-// RunQuery). Key tuples may repeat. Construct with NewTable (one key
+// operators (Filter, FilterRows, Distinct, GroupBy, Join, JoinAllRows,
+// TopK, RunQuery). Key tuples may repeat. Construct with NewTable (one key
 // column) or NewWideTable (up to relops.MaxKeyCols columns); both validate
 // the bounds: key columns < relops.KeyLimit and at most relops.MaxRows
 // rows. The key-column count is public query shape, like the row count,
@@ -261,9 +260,8 @@ func (t Table) Len() int {
 	return len(t.rows)
 }
 
-// Agg selects the aggregation of GroupBy / GroupByCols / Query. The zero
-// value AggNone is only meaningful inside a Query (it disables the
-// group-by stage).
+// Agg selects the aggregation of GroupBy / Query. The zero value AggNone
+// is only meaningful inside a Query (it disables the group-by stage).
 type Agg int
 
 // Aggregations. AggAvg and AggVar aggregate a (sum, count) pair — plus the
@@ -297,44 +295,6 @@ func (a Agg) kind() (relops.AggKind, error) {
 	default:
 		return 0, fmt.Errorf("oblivmc: invalid aggregation %d", a)
 	}
-}
-
-// runTableOp moves a table into the oblivious element representation and
-// runs body on it under e's executor with a scratch arena (e's persistent
-// arena when it has one, else per-run) and the run's one sorter (srt — the
-// shuffle backend is stateful, so exactly one instance must serve all of a
-// run's sorts), returning the surviving rows of the relation body hands
-// back (usually r itself; the join stage replaces it with the expanded
-// relation) at its width. A body error aborts the run without converting a
-// result.
-func runTableOp(e exec, t Table, srt obliv.Sorter, body func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error)) (Table, *Report, error) {
-	var out Table
-	var runErr error
-	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
-		r, err := relops.Load(sp, recordsOf(t), t.Width())
-		if err != nil {
-			// Unreachable via NewTable/NewWideTable, but Load re-checks its
-			// own bounds.
-			runErr = err
-			return
-		}
-		ar := e.arena
-		if ar == nil {
-			ar = relops.NewArena()
-		}
-		if r, err = body(c, sp, ar, r, srt); err != nil {
-			runErr = err
-			return
-		}
-		out = tableOf(r)
-	})
-	if err != nil {
-		return Table{}, nil, err
-	}
-	if runErr != nil {
-		return Table{}, nil, runErr
-	}
-	return out, rep, nil
 }
 
 // tableOf converts surviving records back to a table of the relation's
@@ -393,10 +353,10 @@ func wideRowOf(rec relops.Record, w int) WideRow {
 }
 
 // FilterRows obliviously selects the rows satisfying pred at any key
-// width, preserving input order — the wide-predicate form of Filter (the
-// ROADMAP "wide filters" follow-on). pred must be a pure function of the
-// row; the access pattern depends only on the row count and width, never
-// on the contents or the survivor count.
+// width, preserving input order — the wide-predicate form of Filter and the
+// one-stage query Query{FilterWide: pred}. pred must be a pure function of
+// the row; the access pattern depends only on the row count and width,
+// never on the contents or the survivor count.
 func FilterRows(cfg Config, t Table, pred func(WideRow) bool) (Table, *Report, error) {
 	if t.Len() == 0 {
 		return Table{}, nil, ErrEmptyInput
@@ -404,19 +364,16 @@ func FilterRows(cfg Config, t Table, pred func(WideRow) bool) (Table, *Report, e
 	if pred == nil {
 		return Table{}, nil, fmt.Errorf("oblivmc: FilterRows requires a predicate")
 	}
-	w := t.Width()
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
-		relops.Compact(c, sp, ar, r, func(rec relops.Record) bool { return pred(wideRowOf(rec, w)) }, srt)
-		return r, nil
-	})
+	return RunQuery(cfg, t, Query{FilterWide: pred})
 }
 
 // Filter obliviously selects the rows satisfying pred, preserving input
-// order. pred must be a pure function of the row (it computes on register
-// values; it is never handed memory). The access pattern depends only on
-// the number of rows — not on the contents, and not on how many rows
-// survive (the survivor count is only visible in the returned Table).
-// Width-1 tables only (see ROADMAP for wide filters).
+// order — the one-stage query Query{Filter: pred}. pred must be a pure
+// function of the row (it computes on register values; it is never handed
+// memory). The access pattern depends only on the number of rows — not on
+// the contents, and not on how many rows survive (the survivor count is
+// only visible in the returned Table). Width-1 tables only; FilterRows
+// takes every width.
 func Filter(cfg Config, t Table, pred func(Row) bool) (Table, *Report, error) {
 	if t.Len() == 0 {
 		return Table{}, nil, ErrEmptyInput
@@ -424,53 +381,40 @@ func Filter(cfg Config, t Table, pred func(Row) bool) (Table, *Report, error) {
 	if t.Width() > 1 {
 		return Table{}, nil, errWideFilter("Filter")
 	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
-		relops.Compact(c, sp, ar, r, func(rec relops.Record) bool { return pred(Row{Key: rec.Key, Val: rec.Val}) }, srt)
-		return r, nil
-	})
+	if pred == nil {
+		return Table{}, nil, fmt.Errorf("oblivmc: Filter requires a predicate")
+	}
+	return RunQuery(cfg, t, Query{Filter: pred})
 }
 
 // Distinct obliviously deduplicates the table by its key tuple: the
-// earliest row of each key survives, in first-occurrence order.
+// earliest row of each key survives, in first-occurrence order — the
+// one-stage query Query{Distinct: true}.
 func Distinct(cfg Config, t Table) (Table, *Report, error) {
-	if t.Len() == 0 {
-		return Table{}, nil, ErrEmptyInput
-	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
-		relops.Distinct(c, sp, ar, r, srt)
-		return r, nil
-	})
+	return RunQuery(cfg, t, Query{Distinct: true})
 }
 
-// GroupByCols obliviously aggregates the table by its full key tuple —
-// GROUP BY (a, b) for a two-column table: the result holds one row per
-// distinct key tuple whose Val is the aggregate of the group under agg, in
-// first-occurrence order. Values are unbounded uint64s and sums wrap
-// modulo 2^64 (AggVar additionally sums squares — keep values below 2^32
-// if exact variances are required).
-func GroupByCols(cfg Config, t Table, agg Agg) (Table, *Report, error) {
-	if t.Len() == 0 {
-		return Table{}, nil, ErrEmptyInput
-	}
-	kind, err := agg.kind()
-	if err != nil {
+// GroupBy obliviously aggregates the table by its full key tuple — GROUP BY
+// (a, b) for a two-column table, the single key column for a width-1 one:
+// the result holds one row per distinct key tuple whose Val is the
+// aggregate of the group under agg, in first-occurrence order. It is the
+// one-stage query Query{GroupBy: agg}, except that AggNone is rejected.
+// Values are unbounded uint64s and sums wrap modulo 2^64 (AggVar
+// additionally sums squares — keep values below 2^32 if exact variances
+// are required).
+func GroupBy(cfg Config, t Table, agg Agg) (Table, *Report, error) {
+	if _, err := agg.kind(); err != nil {
 		return Table{}, nil, err
 	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
-		relops.GroupBy(c, sp, ar, r, kind, srt)
-		return r, nil
-	})
-}
-
-// GroupBy is GroupByCols under its historical name: for width-1 tables the
-// key tuple is the single key column, so both names aggregate identically.
-func GroupBy(cfg Config, t Table, agg Agg) (Table, *Report, error) {
-	return GroupByCols(cfg, t, agg)
+	return RunQuery(cfg, t, Query{GroupBy: agg})
 }
 
 // TopK obliviously keeps the k rows with the largest values, in descending
-// value order (ties broken deterministically but arbitrarily). k is public
-// query shape, not data; the access pattern depends on (rows, k) only.
+// value order (ties broken deterministically but arbitrarily) — the
+// one-stage query Query{TopK: k} for k > 0. k is public query shape, not
+// data; the access pattern depends on (rows, k) only. k = 0 keeps no row
+// (in a Query, TopK 0 means no top-k stage), so it returns an empty table
+// without touching the rows; a negative k is an error.
 func TopK(cfg Config, t Table, k int) (Table, *Report, error) {
 	if t.Len() == 0 {
 		return Table{}, nil, ErrEmptyInput
@@ -478,10 +422,14 @@ func TopK(cfg Config, t Table, k int) (Table, *Report, error) {
 	if k < 0 {
 		return Table{}, nil, fmt.Errorf("oblivmc: negative k %d", k)
 	}
-	return runTableOp(exec{cfg: cfg}, t, relSorter(cfg), func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
-		relops.TopK(c, sp, ar, r, k, srt)
-		return r, nil
-	})
+	if k == 0 {
+		rep, err := run(cfg, func(*forkjoin.Ctx, *mem.Space) {})
+		if err != nil {
+			return Table{}, nil, err
+		}
+		return Table{width: t.Width(), order: OrderValues}, rep, nil
+	}
+	return RunQuery(cfg, t, Query{TopK: k})
 }
 
 // JoinedRow is one output row of Join: a right row paired with the value
@@ -583,7 +531,7 @@ func checkJoinTables(left, right Table, maxOut int) error {
 // relations (one extra sorting pass inside the same run); anything else
 // passes through untouched. An advised bound of zero still needs one
 // output slot to be a legal capacity.
-func resolveJoinCap(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, declared int, l, r relops.Rel, srt obliv.Sorter) (int, error) {
+func resolveJoinCap(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, declared int, l, r relops.Rel, srt obliv.ScheduledSorter) (int, error) {
 	if declared != JoinCapAuto {
 		return declared, nil
 	}
@@ -686,7 +634,7 @@ type JoinSpec struct {
 // share one sorting pass, and a filter declared FilterKeyOnly is pushed
 // below Distinct/GroupBy into their existing passes. A multi-stage query
 // therefore runs strictly fewer O(n log² n) sorting-network passes than
-// calling the stand-alone operators in sequence (the full four-stage
+// running its stages one operator at a time (the full four-stage
 // pipeline: 2 sorts instead of 6) while producing the same rows — at
 // every key width.
 type Query struct {
@@ -731,9 +679,12 @@ type Query struct {
 	// stored result skips its own key sort via the token. The requested
 	// order is public query shape, like every other field here.
 	KeyOrderOut bool
-	// NoOptimize executes the stages one stand-alone operator at a time,
-	// bypassing the planner — the pre-fusion baseline kept for A/B
-	// benchmarking and differential testing.
+	// NoOptimize executes the staged plan (plan.BuildStaged) in place of
+	// the fused one: each stage pays its own sorts, as if run one operator
+	// at a time, and no input order token skips a sort. The executor is the
+	// same, and so are the rows and the result's order token (KeyOrderOut
+	// included) — the pre-fusion baseline kept for A/B benchmarking and
+	// differential testing.
 	NoOptimize bool
 }
 
@@ -784,9 +735,24 @@ func explainOrdered(q Query, w int, ord TableOrder) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pl := plan.Build(q.shape(kind, w, ord))
+	return q.explain(q.compile(kind, w, ord)), nil
+}
+
+// compile builds q's plan over a width-w table whose sorted-by token is
+// ord: the fused plan, or under NoOptimize the staged one.
+func (q Query) compile(kind relops.AggKind, w int, ord TableOrder) plan.Plan {
+	s := q.shape(kind, w, ord)
+	if q.NoOptimize {
+		return plan.BuildStaged(s)
+	}
+	return plan.Build(s)
+}
+
+// explain renders pl, the compiled plan of q: the fused pass sequence, or
+// for a NoOptimize query the staged operator sequence.
+func (q Query) explain(pl plan.Plan) string {
 	if !q.NoOptimize {
-		return pl.String(), nil
+		return pl.String()
 	}
 	s := ""
 	for _, st := range []struct {
@@ -810,7 +776,7 @@ func explainOrdered(q Query, w int, ord TableOrder) (string, error) {
 	if s == "" {
 		s = "identity"
 	}
-	return fmt.Sprintf("staged: %s [%d sorts]", s, pl.StagedSortPasses), nil
+	return fmt.Sprintf("staged: %s [%d sorts]", s, pl.SortPasses)
 }
 
 // pred resolves q's filter (either form) to a relational-record predicate
@@ -843,28 +809,31 @@ func queryAgg(q Query) (relops.AggKind, error) {
 	return q.GroupBy.kind()
 }
 
-// RunQuery executes q over t under one executor run, so a metered Config
-// yields a single Report covering the whole pipeline.
-func RunQuery(cfg Config, t Table, q Query) (Table, *Report, error) {
+// checkQuery validates q against t — the checks RunQuery and
+// Session.RunQueryCtx share — and resolves the aggregation kind.
+func checkQuery(t Table, q Query) (relops.AggKind, error) {
 	if t.Len() == 0 {
-		return Table{}, nil, ErrEmptyInput
+		return 0, ErrEmptyInput
 	}
 	if q.Filter != nil && t.Width() > 1 {
-		return Table{}, nil, errWideFilter("Query.Filter")
+		return 0, errWideFilter("Query.Filter")
 	}
 	if q.Join != nil {
 		if err := checkJoinTables(q.Join.Left, t, q.Join.MaxOut); err != nil {
-			return Table{}, nil, err
+			return 0, err
 		}
 	}
-	kind, err := queryAgg(q)
+	return queryAgg(q)
+}
+
+// RunQuery executes q over t under one executor run, so a metered Config
+// yields a single Report covering the whole pipeline.
+func RunQuery(cfg Config, t Table, q Query) (Table, *Report, error) {
+	kind, err := checkQuery(t, q)
 	if err != nil {
 		return Table{}, nil, err
 	}
-	if q.NoOptimize {
-		return runQueryStaged(exec{cfg: cfg}, t, q, kind, relSorter(cfg))
-	}
-	return runQueryPlanned(exec{cfg: cfg}, t, q, kind, relSorter(cfg))
+	return runQueryPlanned(exec{cfg: cfg}, t, q, q.compile(kind, t.Width(), t.order), relSorter(cfg))
 }
 
 // queryJoin runs q's join stage over the loaded right relation r (the
@@ -874,7 +843,7 @@ func RunQuery(cfg Config, t Table, q Query) (Table, *Report, error) {
 // join's propagate+compact tail because a later pass re-sorts anyway).
 // The returned error is the public ErrJoinOverflow wrap used by
 // JoinAllRows, carrying the true match count for the retry.
-func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r relops.Rel, deferred bool, srt obliv.Sorter) (relops.Rel, error) {
+func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r relops.Rel, deferred bool, srt obliv.ScheduledSorter) (relops.Rel, error) {
 	l, err := relops.Load(sp, recordsOf(j.Left), r.W)
 	if err != nil {
 		return relops.Rel{}, err
@@ -901,65 +870,47 @@ func queryJoin(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, j *JoinSpec, r 
 	return joined, nil
 }
 
-// runQueryPlanned compiles q's shape — including the input table's
-// sorted-by token, the cross-query seam — and executes the fused pass
-// sequence. The join stage is binary, so the query layer — which holds
-// both relations — peels it off the plan's head and hands Execute the
-// remaining unary passes over the expanded relation. The result table is
-// stamped with the plan's output order token.
-func runQueryPlanned(e exec, t Table, q Query, kind relops.AggKind, srt obliv.Sorter) (Table, *Report, error) {
-	pl := plan.Build(q.shape(kind, t.Width(), t.order))
+// runQueryPlanned moves t into the oblivious element representation and
+// executes pl, q's compiled plan (fused or staged), under e's executor with
+// a scratch arena (e's persistent arena when it has one, else per-run) and
+// the run's one sorter (srt — the shuffle backend is stateful, so exactly
+// one instance must serve all of a run's sorts). The join stage is binary,
+// so the query layer — which holds both relations — peels it off the plan's
+// head and hands Execute the remaining unary passes over the expanded
+// relation. The result table is stamped with the plan's output order token.
+func runQueryPlanned(e exec, t Table, q Query, pl plan.Plan, srt obliv.ScheduledSorter) (Table, *Report, error) {
 	pred := q.pred(t.Width())
-	out, rep, err := runTableOp(e, t, srt, func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
+	var out Table
+	var runErr error
+	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
+		r, err := relops.Load(sp, recordsOf(t), t.Width())
+		if err != nil {
+			// Unreachable via NewTable/NewWideTable, but Load re-checks its
+			// own bounds.
+			runErr = err
+			return
+		}
+		ar := e.arena
+		if ar == nil {
+			ar = relops.NewArena()
+		}
 		rest := pl
 		if q.Join != nil {
-			jop := rest.Ops[0] // plan.Build puts OpJoinAll first
+			jop := rest.Ops[0] // plan.Build and plan.BuildStaged put OpJoinAll first
 			rest.Ops = rest.Ops[1:]
-			var err error
-			if r, err = queryJoin(c, sp, ar, q.Join, r, jop.Deferred, srt); err != nil {
-				return relops.Rel{}, err
+			if r, runErr = queryJoin(c, sp, ar, q.Join, r, jop.Deferred, srt); runErr != nil {
+				return
 			}
 		}
 		relops.Execute(c, sp, ar, r, rest, pred, srt)
-		return r, nil
+		out = tableOf(r)
 	})
 	if err != nil {
 		return Table{}, nil, err
 	}
+	if runErr != nil {
+		return Table{}, nil, runErr
+	}
 	out.order = tableOrderOf(pl.Output)
 	return out, rep, nil
-}
-
-// runQueryStaged is the pre-planner execution: each stage is a stand-alone
-// operator paying its own sorts and per-call scratch — the pre-fusion
-// behavior, kept as the benchmarking baseline. (Its sorts now run the
-// same schedule path as everything else — the packed-composite closure
-// comparator no longer exists — so the A/B difference it isolates is
-// purely the planner's pass structure.)
-func runQueryStaged(e exec, t Table, q Query, kind relops.AggKind, srt obliv.Sorter) (Table, *Report, error) {
-	// The unary operators run with nil scratch (per-call allocation), as
-	// the pre-planner baseline always has; only the join uses the per-run
-	// arena.
-	return runTableOp(e, t, srt, func(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, r relops.Rel, srt obliv.Sorter) (relops.Rel, error) {
-		if q.Join != nil {
-			// The stand-alone operator pays its full three sorts.
-			var err error
-			if r, err = queryJoin(c, sp, ar, q.Join, r, false, srt); err != nil {
-				return relops.Rel{}, err
-			}
-		}
-		if pred := q.pred(r.W); pred != nil {
-			relops.Compact(c, sp, nil, r, pred, srt)
-		}
-		if q.Distinct {
-			relops.Distinct(c, sp, nil, r, srt)
-		}
-		if q.GroupBy != AggNone {
-			relops.GroupBy(c, sp, nil, r, kind, srt)
-		}
-		if q.TopK > 0 {
-			relops.TopK(c, sp, nil, r, q.TopK, srt)
-		}
-		return r, nil
-	})
 }

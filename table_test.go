@@ -79,6 +79,28 @@ func TestGroupByAndTopKTable(t *testing.T) {
 	}
 }
 
+// TestTopKZeroAndNegative pins the one-shot TopK's k edge cases: k = 0
+// keeps no row (unlike Query.TopK, where 0 means no top-k stage) and a
+// negative k is an error.
+func TestTopKZeroAndNegative(t *testing.T) {
+	tab := mustTable(t, []Row{{1, 5}, {2, 9}, {3, 7}})
+	for _, mode := range []Mode{ModeSerial, ModeMetered} {
+		got, rep, err := TopK(Config{Mode: mode}, tab, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != 0 || got.Order() != OrderValues {
+			t.Fatalf("mode %v: TopK(k=0) = %v (order %v), want no rows (order %v)", mode, got.Rows(), got.Order(), OrderValues)
+		}
+		if (rep != nil) != (mode == ModeMetered) {
+			t.Fatalf("mode %v: TopK(k=0) report %v", mode, rep)
+		}
+	}
+	if _, _, err := TopK(Config{Mode: ModeSerial}, tab, -1); err == nil {
+		t.Fatal("TopK accepted a negative k")
+	}
+}
+
 func TestDistinctTable(t *testing.T) {
 	tab := mustTable(t, []Row{{4, 1}, {2, 2}, {4, 3}, {9, 4}, {2, 5}})
 	got, _, err := Distinct(Config{Mode: ModeSerial}, tab)
@@ -315,8 +337,8 @@ func wideQueryRows(n int) []WideRow {
 	return rows
 }
 
-// refGroupByCols is the plain-Go reference of GroupByCols over wide rows.
-func refGroupByCols(rows []WideRow, agg Agg) []WideRow {
+// refGroupBy is the plain-Go reference of GroupBy over wide rows.
+func refGroupBy(rows []WideRow, agg Agg) []WideRow {
 	type stats struct{ sum, sq, cnt, minv, maxv uint64 }
 	aggs := map[[2]uint64]*stats{}
 	var order [][2]uint64
@@ -369,11 +391,11 @@ func TestGroupByColsWide(t *testing.T) {
 		t.Fatalf("width = %d, want 2", tab.Width())
 	}
 	for _, agg := range []Agg{AggSum, AggCount, AggMin, AggMax, AggAvg, AggVar} {
-		got, _, err := GroupByCols(Config{Mode: ModeSerial}, tab, agg)
+		got, _, err := GroupBy(Config{Mode: ModeSerial}, tab, agg)
 		if err != nil {
 			t.Fatalf("agg %d: %v", agg, err)
 		}
-		checkWideRows(t, got.WideRows(), refGroupByCols(rows, agg), fmt.Sprintf("GroupByCols agg %d", agg))
+		checkWideRows(t, got.WideRows(), refGroupBy(rows, agg), fmt.Sprintf("GroupBy agg %d", agg))
 	}
 }
 
@@ -500,9 +522,9 @@ func TestWideGroupByBeyondRowLimit(t *testing.T) {
 		}
 	}
 	tab := mustWideTable(t, rows)
-	got, _, err := GroupByCols(Config{}, tab, AggAvg)
+	got, _, err := GroupBy(Config{}, tab, AggAvg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWideRows(t, got.WideRows(), refGroupByCols(rows, AggAvg), "GroupByCols beyond 2^20 rows")
+	checkWideRows(t, got.WideRows(), refGroupBy(rows, AggAvg), "GroupBy beyond 2^20 rows")
 }
