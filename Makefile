@@ -108,7 +108,8 @@ chaos-smoke:
 # run the fused -keyorder -as query, and assert (a) the identical repeat
 # is a cache hit with 0 executed sorts and (b) the follow-up over the
 # materialization rides the order token to fewer sorts than its cold
-# plan. Exercises the client wire structs against the live server.
+# plan, then runs a -graph cc query (measured sorts, cached 0-sort
+# repeat). Exercises the client wire structs against the live server.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

@@ -153,66 +153,10 @@ func EvaluateExpressionTree(cfg Config, t ExpressionTree) (uint64, *Report, erro
 	return out, rep, nil
 }
 
-// ConnectedComponents obliviously labels the connected components of an
-// undirected graph (Theorem 5.2(ii), Shiloach–Vishkin/Awerbuch–Shiloach):
-// vertices share a label iff connected. The access pattern depends only on
-// (n, number of edges).
-func ConnectedComponents(cfg Config, n int, edges [][2]int) ([]int, *Report, error) {
-	if n <= 0 {
-		return nil, nil, ErrEmptyInput
-	}
-	for _, e := range edges {
-		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			return nil, nil, fmt.Errorf("oblivmc: edge %v out of range", e)
-		}
-	}
-	var out []int
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
-		out = graph.ConnectedComponentsOblivious(c, sp, n, edges, p)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
-}
-
 // WeightedEdge is an undirected weighted edge.
 type WeightedEdge struct {
 	U, V int
 	W    uint64
-}
-
-// MinimumSpanningForest obliviously computes the minimum spanning forest
-// (Theorem 5.2(ii) via Borůvka star-hooking; see DESIGN.md for the PR02
-// substitution) and returns the indices of the chosen edges. Ties are
-// broken by edge index, making the forest unique. Requirements: n, m <
-// 2^21, weights < 2^20.
-func MinimumSpanningForest(cfg Config, n int, edges []WeightedEdge) ([]int, *Report, error) {
-	if n <= 0 {
-		return nil, nil, ErrEmptyInput
-	}
-	ge := make([]graph.WEdge, len(edges))
-	for i, e := range edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, nil, fmt.Errorf("oblivmc: edge %d out of range", i)
-		}
-		if e.W >= 1<<20 {
-			return nil, nil, fmt.Errorf("oblivmc: edge %d weight too large", i)
-		}
-		ge[i] = graph.WEdge{U: e.U, V: e.V, W: e.W}
-	}
-	var out []int
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
-		out = graph.MinimumSpanningForestOblivious(c, sp, n, ge, p)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
 }
 
 // PRAMMachine re-exports the CRCW machine interface accepted by

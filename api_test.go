@@ -181,11 +181,22 @@ func TestEvaluateExpressionTreeAPI(t *testing.T) {
 	}
 }
 
-func TestConnectedComponentsAPI(t *testing.T) {
-	edges := [][2]int{{0, 1}, {1, 2}, {3, 4}}
-	labels, _, err := ConnectedComponents(Config{Mode: ModeSerial}, 6, edges)
+func TestComponentsAPI(t *testing.T) {
+	// The self-loop makes vertex 5 part of the graph as its own component.
+	tab, err := NewEdgeTable([]WeightedEdge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 5}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	out, _, err := Components(Config{Mode: ModeSerial}, tab, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]uint64, out.Len())
+	for _, r := range out.Rows() {
+		labels[r.Key] = r.Val
+	}
+	if len(labels) != 6 {
+		t.Fatalf("%d vertices labeled, want 6", len(labels))
 	}
 	if labels[0] != labels[1] || labels[1] != labels[2] {
 		t.Fatal("0-1-2 should share a component")
@@ -198,24 +209,29 @@ func TestConnectedComponentsAPI(t *testing.T) {
 	}
 }
 
-func TestMinimumSpanningForestAPI(t *testing.T) {
+func TestMSFAPI(t *testing.T) {
 	edges := []WeightedEdge{
 		{0, 1, 10}, {1, 2, 1}, {0, 2, 5}, {3, 4, 2},
 	}
-	chosen, _, err := MinimumSpanningForest(Config{Mode: ModeSerial}, 5, edges)
+	out, _, err := MSF(Config{Mode: ModeSerial}, mustEdgeTable(t, edges))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[int]bool{1: true, 2: true, 3: true}
-	if len(chosen) != 3 {
-		t.Fatalf("chose %v", chosen)
+	chosen, err := out.Edges()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range chosen {
-		if !want[e] {
-			t.Fatalf("chose %v, want edges 1,2,3", chosen)
+	// The forest comes back in input-edge order: edges 1, 2 and 3.
+	want := edges[1:]
+	if len(chosen) != len(want) {
+		t.Fatalf("chose %v, want %v", chosen, want)
+	}
+	for i := range want {
+		if chosen[i] != want[i] {
+			t.Fatalf("chose %v, want %v", chosen, want)
 		}
 	}
-	if _, _, err := MinimumSpanningForest(Config{}, 2, []WeightedEdge{{0, 1, 1 << 20}}); err == nil {
+	if _, _, err := MSF(Config{}, mustEdgeTable(t, []WeightedEdge{{0, 1, 1 << 20}})); err == nil {
 		t.Fatal("oversized weight accepted")
 	}
 }

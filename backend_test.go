@@ -129,7 +129,7 @@ func TestQueryFilterWide(t *testing.T) {
 	}
 
 	// The wide filter participates in planning like the narrow one.
-	pl, err := ExplainWidth(Query{FilterWide: pred, FilterKeyOnly: true, Distinct: true}, 2)
+	pl, err := ExplainTable(tab, Query{FilterWide: pred, FilterKeyOnly: true, Distinct: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +148,13 @@ func TestQueryFilterWide(t *testing.T) {
 	}); err == nil {
 		t.Fatal("Filter and FilterWide together should be rejected")
 	}
-	// Explain shares RunQuery's shape validation, so it refuses the same
-	// combination rather than blessing a plan the executor rejects.
-	if _, err := Explain(Query{
+	// ExplainTable shares RunQuery's shape validation, so it refuses the
+	// same combination rather than blessing a plan the executor rejects.
+	if _, err := ExplainTable(tab, Query{
 		Filter:     func(Row) bool { return true },
 		FilterWide: pred,
 	}); err == nil {
-		t.Fatal("Explain should reject Filter and FilterWide together")
+		t.Fatal("ExplainTable should reject Filter and FilterWide together")
 	}
 }
 

@@ -94,6 +94,9 @@ func runGraph(op string, rounds, n int, useStdin, explain, metered bool, limit i
 		log.Fatal(err)
 	}
 
+	if gop == oblivmc.GraphOpPageRank && rounds == 0 {
+		rounds = 5
+	}
 	if explain {
 		pl, err := oblivmc.GraphExplainTable(gop, table, rounds)
 		if err != nil {
@@ -127,9 +130,6 @@ func runGraph(op string, rounds, n int, useStdin, explain, metered bool, limit i
 	case oblivmc.GraphOpMSF:
 		res, rep, err = oblivmc.MSF(cfg, table)
 	case oblivmc.GraphOpPageRank:
-		if rounds == 0 {
-			rounds = 5
-		}
 		res, rep, err = oblivmc.PageRank(cfg, table, rounds)
 	default:
 		res, rep, err = oblivmc.Components(cfg, table, rounds)
@@ -322,7 +322,7 @@ func main() {
 	}
 
 	if *explain {
-		pl, err := oblivmc.ExplainWidth(q, table.Width())
+		pl, err := oblivmc.ExplainTable(table, q)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math/bits"
 	"os"
 
 	"oblivmc"
@@ -66,14 +67,21 @@ func main() {
 			}
 			_, _, rep, err = oblivmc.Lookup(cfg, keys, vals, qs)
 		case "cc":
-			edges := make([][2]int, 0, 2**n)
+			// Vertex n-1 is always an endpoint, so both inputs share the
+			// public vertex count, and the round count is fixed, so the
+			// view is a function of (n, m, rounds) alone.
+			edges := []oblivmc.WeightedEdge{{U: *n - 1, V: src.Intn(*n - 1)}}
 			for len(edges) < 2**n {
 				u, v := src.Intn(*n), src.Intn(*n)
 				if u != v {
-					edges = append(edges, [2]int{u, v})
+					edges = append(edges, oblivmc.WeightedEdge{U: u, V: v})
 				}
 			}
-			_, rep, err = oblivmc.ConnectedComponents(cfg, *n, edges)
+			tab, terr := oblivmc.NewEdgeTable(edges)
+			if terr != nil {
+				log.Fatal(terr)
+			}
+			_, rep, err = oblivmc.Components(cfg, tab, bits.Len(uint(*n)))
 		default:
 			log.Fatalf("unknown op %q", *op)
 		}

@@ -22,41 +22,50 @@ func main() {
 		edges = append(edges, [2]int{n/2 + src.Intn(v-n/2), v})
 	}
 
-	labels, _, err := oblivmc.ConnectedComponents(oblivmc.Config{Seed: 3}, n, edges)
-	if err != nil {
-		log.Fatal(err)
-	}
-	comps := map[int][]int{}
-	for v, l := range labels {
-		comps[l] = append(comps[l], v)
-	}
-	fmt.Printf("connected components (oblivious Shiloach–Vishkin): %d components\n", len(comps))
-	for _, members := range comps {
-		fmt.Printf("  %v\n", members)
-	}
-
-	// Weighted version: minimum spanning forest.
+	// Graphs are width-2 edge tables (endpoints as key columns, weight as
+	// value); the noise-free clusters carry random weights for the MSF.
 	wedges := make([]oblivmc.WeightedEdge, 0, len(edges)+10)
 	for _, e := range edges {
 		wedges = append(wedges, oblivmc.WeightedEdge{U: e[0], V: e[1], W: src.Uint64n(1000)})
 	}
-	// extra redundant edges so the MSF has real choices to make
+	tab, err := oblivmc.NewEdgeTable(wedges)
+	if err != nil {
+		log.Fatal(err)
+	}
+	labels, _, err := oblivmc.Components(oblivmc.Config{Seed: 3}, tab, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	comps := map[uint64][]uint64{}
+	for _, r := range labels.Rows() {
+		comps[r.Val] = append(comps[r.Val], r.Key)
+	}
+	fmt.Printf("connected components (oblivious min-hook labeling): %d components\n", len(comps))
+	for _, members := range comps {
+		fmt.Printf("  %v\n", members)
+	}
+
+	// Weighted version: minimum spanning forest, with extra redundant edges
+	// so the MSF has real choices to make.
 	for k := 0; k < 10; k++ {
 		u, v := src.Intn(n/2), src.Intn(n/2)
 		if u != v {
 			wedges = append(wedges, oblivmc.WeightedEdge{U: u, V: v, W: src.Uint64n(1000)})
 		}
 	}
-	chosen, _, err := oblivmc.MinimumSpanningForest(oblivmc.Config{Seed: 4}, n, wedges)
+	if tab, err = oblivmc.NewEdgeTable(wedges); err != nil {
+		log.Fatal(err)
+	}
+	forest, _, err := oblivmc.MSF(oblivmc.Config{Seed: 4}, tab)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var total uint64
-	for _, e := range chosen {
-		total += wedges[e].W
+	for _, r := range forest.WideRows() {
+		total += r.Val
 	}
 	fmt.Printf("\nminimum spanning forest (oblivious Borůvka): %d edges, weight %d\n",
-		len(chosen), total)
+		forest.Len(), total)
 
 	// Tree analytics on one of the spanning trees: depths, subtree sizes.
 	treeEdges := edges[:n/2-1] // cluster A is a tree already

@@ -34,7 +34,7 @@ func main() {
 		GroupBy: oblivmc.AggSum,
 		TopK:    3,
 	}
-	if pl, err := oblivmc.Explain(q); err == nil {
+	if pl, err := oblivmc.ExplainTable(facts, q); err == nil {
 		// The sort-fusion planner compiles the public query shape into a
 		// pass sequence with fewer sorting-network passes than running the
 		// stages one operator at a time.
@@ -95,7 +95,7 @@ func main() {
 		Join:    &oblivmc.JoinSpec{Left: promos, MaxOut: 32},
 		GroupBy: oblivmc.AggCount,
 	}
-	if pl, err := oblivmc.Explain(jq); err == nil {
+	if pl, err := oblivmc.ExplainTable(facts, jq); err == nil {
 		fmt.Printf("\njoined-query plan: %s\n", pl)
 	}
 	promoted, _, err := oblivmc.RunQuery(oblivmc.Config{Seed: 4}, facts, jq)

@@ -6,22 +6,20 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/graph"
 	"oblivmc/internal/mem"
+	"oblivmc/internal/obliv"
 	"oblivmc/internal/plan"
 	"oblivmc/internal/pram"
 	"oblivmc/internal/relops"
 )
 
-// GraphOp selects the workload for GraphExplain.
+// GraphOp selects a graph operator for Session.RunGraphCtx and
+// GraphExplainTable.
 type GraphOp int
 
 const (
 	// GraphOpComponents — min-hook connected components (Components).
 	GraphOpComponents GraphOp = iota
-	// GraphOpComponentsAS — Awerbuch–Shiloach connected components
-	// (ConnectedComponents).
-	GraphOpComponentsAS
-	// GraphOpMSF — Borůvka minimum spanning forest (MSF /
-	// MinimumSpanningForest).
+	// GraphOpMSF — Borůvka minimum spanning forest (MSF).
 	GraphOpMSF
 	// GraphOpPageRank — the relational PageRank iterated aggregate
 	// (PageRank).
@@ -30,8 +28,6 @@ const (
 
 func (op GraphOp) planKind() plan.GraphKind {
 	switch op {
-	case GraphOpComponentsAS:
-		return plan.GraphCCAS
 	case GraphOpMSF:
 		return plan.GraphMSF
 	case GraphOpPageRank:
@@ -40,36 +36,37 @@ func (op GraphOp) planKind() plan.GraphKind {
 	return plan.GraphCC
 }
 
-// GraphExplain renders the sort-pass accounting of a graph operator at the
-// public shape (n vertices, m edges, rounds — the fixed round count for
-// Components, the iteration count for PageRank, ignored otherwise), e.g.
+// GraphExplainTable renders the sort-pass accounting of a graph operator
+// over an edge table at its public shape (n vertices, m edges, rounds —
+// the fixed round count for Components, the iteration count for PageRank,
+// ignored for MSF), e.g.
 //
 //	cc-minhook(n=65536, m=1048576): gather → scatter-min → jump → jump
 //	[9 sorts/round × 4 rounds = 36 sorts]
 //
-// Like Explain for relational queries, the output is a pure function of
-// the shape — the same accounting the metered-run tests pin.
-func GraphExplain(op GraphOp, n, m, rounds int) string {
-	return plan.BuildGraph(plan.GraphShape{Kind: op.planKind(), N: n, M: m, Rounds: rounds}).String()
-}
-
-// GraphExplainTable is GraphExplain against a concrete edge table: the
-// vertex and edge counts are taken from the table's public shape.
+// Like ExplainTable for relational queries, the output is a pure function
+// of the shape — the same accounting the executed-sort tests pin.
 func GraphExplainTable(op GraphOp, edges Table, rounds int) (string, error) {
 	el, err := edges.Edges()
 	if err != nil {
 		return "", err
 	}
-	return GraphExplain(op, graphShape(el), len(el), rounds), nil
+	return plan.BuildGraph(plan.GraphShape{Kind: op.planKind(), N: graphShape(el), M: len(el), Rounds: rounds}).String(), nil
 }
 
-// GraphSorts returns the operator's total sort-pass count at the public
-// shape: exact for fixed-round workloads (Components with rounds > 0,
-// PageRank, the AS components' fixed iteration bound), the worst-case
-// bound for MSF's revealed early-exit loop, and -1 for a convergence loop
-// with no a-priori bound (Components with rounds == 0).
-func GraphSorts(op GraphOp, n, m, rounds int) int {
-	return plan.BuildGraph(plan.GraphShape{Kind: op.planKind(), N: n, M: m, Rounds: rounds}).TotalSorts()
+// runGraph runs op over edges under e with the run's one sorter srt — the
+// body the one-shot operators and Session.RunGraphCtx share. rounds is
+// Components' round count or PageRank's iteration count; MSF ignores it.
+func runGraph(e exec, srt obliv.ScheduledSorter, op GraphOp, edges Table, rounds int) (Table, *Report, error) {
+	switch op {
+	case GraphOpComponents:
+		return components(e, srt, edges, rounds)
+	case GraphOpMSF:
+		return msf(e, srt, edges)
+	case GraphOpPageRank:
+		return pageRank(e, srt, edges, rounds)
+	}
+	return Table{}, nil, fmt.Errorf("oblivmc: unknown graph op %d", op)
 }
 
 // NewEdgeTable wraps a weighted edge list in a width-2 Table: key column 0
@@ -137,6 +134,10 @@ func graphShape(edges []WeightedEdge) int {
 //
 // Requirement: n <= 2^21 (labels double as scatter priorities).
 func Components(cfg Config, edges Table, rounds int) (Table, *Report, error) {
+	return components(exec{cfg: cfg}, relSorter(cfg), edges, rounds)
+}
+
+func components(e exec, srt obliv.ScheduledSorter, edges Table, rounds int) (Table, *Report, error) {
 	el, err := edges.Edges()
 	if err != nil {
 		return Table{}, nil, err
@@ -152,13 +153,13 @@ func Components(cfg Config, edges Table, rounds int) (Table, *Report, error) {
 		return Table{}, nil, fmt.Errorf("oblivmc: graph has %d vertices, max %d", n, pram.MaxPrio)
 	}
 	pairs := make([][2]int, len(el))
-	for i, e := range el {
-		pairs[i] = [2]int{e.U, e.V}
+	for i, we := range el {
+		pairs[i] = [2]int{we.U, we.V}
 	}
 	var labels []int
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
+	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
+		p := e.cfg.Tuning.params()
+		p.Sorter = srt
 		labels, _ = graph.ConnectedComponentsMinHook(c, sp, n, pairs, rounds, p)
 	})
 	if err != nil {
@@ -183,6 +184,10 @@ func Components(cfg Config, edges Table, rounds int) (Table, *Report, error) {
 // (Config.SortBackend). Requirements: vertices and edges < 2^21, weights
 // < 2^20.
 func MSF(cfg Config, edges Table) (Table, *Report, error) {
+	return msf(exec{cfg: cfg}, relSorter(cfg), edges)
+}
+
+func msf(e exec, srt obliv.ScheduledSorter, edges Table) (Table, *Report, error) {
 	el, err := edges.Edges()
 	if err != nil {
 		return Table{}, nil, err
@@ -195,24 +200,24 @@ func MSF(cfg Config, edges Table) (Table, *Report, error) {
 		return Table{}, nil, fmt.Errorf("oblivmc: graph too large (%d vertices, %d edges, max 2^21-1)", n, len(el))
 	}
 	ge := make([]graph.WEdge, len(el))
-	for i, e := range el {
-		if e.W >= 1<<20 {
-			return Table{}, nil, fmt.Errorf("oblivmc: edge %d weight %d exceeds 2^20-1", i, e.W)
+	for i, we := range el {
+		if we.W >= 1<<20 {
+			return Table{}, nil, fmt.Errorf("oblivmc: edge %d weight %d exceeds 2^20-1", i, we.W)
 		}
-		ge[i] = graph.WEdge{U: e.U, V: e.V, W: e.W}
+		ge[i] = graph.WEdge{U: we.U, V: we.V, W: we.W}
 	}
 	var chosen []int
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
-		p := cfg.Tuning.params()
-		p.Sorter = relSorter(cfg)
+	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
+		p := e.cfg.Tuning.params()
+		p.Sorter = srt
 		chosen = graph.MinimumSpanningForestOblivious(c, sp, n, ge, p)
 	})
 	if err != nil {
 		return Table{}, nil, err
 	}
 	rows := make([]WideRow, len(chosen))
-	for i, e := range chosen {
-		rows[i] = WideRow{Keys: []uint64{uint64(el[e].U), uint64(el[e].V)}, Val: el[e].W}
+	for i, ei := range chosen {
+		rows[i] = WideRow{Keys: []uint64{uint64(el[ei].U), uint64(el[ei].V)}, Val: el[ei].W}
 	}
 	if len(rows) == 0 {
 		// A forest with no edges (self-loop-only input): no Table to build.
@@ -249,14 +254,23 @@ const (
 // (GroupBy/AggSum) over a zero-sentinel row per vertex, so the output
 // always has exactly n rows in vertex order. All arithmetic is integer
 // fixed point: share(u) = (rank(u)·85/100)/outdeg(u), next rank(v) =
-// PageRankScale·15/100 + Σ incoming shares. Vertices with no out-edges
-// drop their mass (the simple "dangling mass lost" variant), so ranks sum
-// to slightly less than n·PageRankScale on graphs with sinks.
+// PageRankScale·15/100 + Σ incoming shares + dangling/n, where dangling is
+// the damped rank Σ rank(u)·85/100 of the vertices u with no out-edges,
+// spread uniformly so sinks do not leak mass. Ranks therefore sum to
+// n·PageRankScale up to the floor divisions: the sum never exceeds it, and
+// each iteration loses less than 3n+m units to rounding (under one per
+// vertex in each of the base, damping and dangling-spread floors, at most
+// outdeg(u)-1 per vertex u in its share floor).
 //
-// Every constituent operator runs under cfg (backend, mode, workers); the
-// returned Report is the counter-sum over all 1+2·iters operator runs, with
-// a combined trace fingerprint (nil outside ModeMetered).
+// Every constituent operator runs under cfg (backend, mode, workers) with
+// one sorter; the returned Report is the counter-sum over all 1+2·iters
+// operator runs, with a combined trace fingerprint (nil outside
+// ModeMetered).
 func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
+	return pageRank(exec{cfg: cfg}, relSorter(cfg), edges, iters)
+}
+
+func pageRank(e exec, srt obliv.ScheduledSorter, edges Table, iters int) (Table, *Report, error) {
 	el, err := edges.Edges()
 	if err != nil {
 		return Table{}, nil, err
@@ -274,6 +288,13 @@ func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 	}
 
 	var total *Report
+	sum := Query{GroupBy: AggSum}
+	sumPlan := sum.compile(relops.AggSum, 1, OrderNone)
+	groupSum := func(t Table) (Table, error) {
+		out, rep, err := runQueryPlanned(e, t, sum, sumPlan, srt)
+		mergeReport(&total, rep)
+		return out, err
+	}
 
 	// Out-degrees: one grouped count over a unit row per edge source plus a
 	// zero sentinel per vertex, so every vertex appears and the key-sorted
@@ -282,26 +303,25 @@ func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 	for v := 0; v < n; v++ {
 		degRows = append(degRows, Row{Key: uint64(v), Val: 0})
 	}
-	for _, e := range el {
-		degRows = append(degRows, Row{Key: uint64(e.U), Val: 1})
+	for _, we := range el {
+		degRows = append(degRows, Row{Key: uint64(we.U), Val: 1})
 	}
 	degTbl, err := NewTable(degRows)
 	if err != nil {
 		return Table{}, nil, err
 	}
-	degOut, rep, err := GroupBy(cfg, degTbl, AggSum)
+	degOut, err := groupSum(degTbl)
 	if err != nil {
 		return Table{}, nil, err
 	}
-	mergeReport(&total, rep)
 	deg := make([]uint64, n)
 	for _, r := range degOut.Rows() {
 		deg[r.Key] = r.Val
 	}
 
 	edgeRows := make([]Row, m)
-	for i, e := range el {
-		edgeRows[i] = Row{Key: uint64(e.U), Val: uint64(e.V)}
+	for i, we := range el {
+		edgeRows[i] = Row{Key: uint64(we.U), Val: uint64(we.V)}
 	}
 	edgeTbl, err := NewTable(edgeRows)
 	if err != nil {
@@ -316,20 +336,25 @@ func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 
 	for it := 0; it < iters; it++ {
 		shareRows := make([]Row, n)
+		dangling := uint64(0)
 		for v := 0; v < n; v++ {
+			damped := ranks[v] * pageRankDampNum / pageRankDampDen
 			s := uint64(0)
 			if deg[v] > 0 {
-				s = ranks[v] * pageRankDampNum / pageRankDampDen / deg[v]
+				s = damped / deg[v]
+			} else {
+				dangling += damped
 			}
 			shareRows[v] = Row{Key: uint64(v), Val: s}
 		}
+		uniform := base + dangling/uint64(n)
 		shareTbl, err := NewTable(shareRows)
 		if err != nil {
 			return Table{}, nil, err
 		}
 		// Every edge row matches exactly one share row (shares cover all
 		// vertices, with distinct keys), so m is the exact public capacity.
-		joined, rep, err := JoinAllRows(cfg, shareTbl, edgeTbl, m)
+		joined, rep, err := joinAllRows(e, srt, shareTbl, edgeTbl, m)
 		if err != nil {
 			return Table{}, nil, err
 		}
@@ -346,13 +371,12 @@ func PageRank(cfg Config, edges Table, iters int) (Table, *Report, error) {
 		if err != nil {
 			return Table{}, nil, err
 		}
-		summed, rep, err := GroupBy(cfg, contribTbl, AggSum)
+		summed, err := groupSum(contribTbl)
 		if err != nil {
 			return Table{}, nil, err
 		}
-		mergeReport(&total, rep)
 		for _, r := range summed.Rows() {
-			ranks[r.Key] = base + r.Val
+			ranks[r.Key] = uniform + r.Val
 		}
 	}
 

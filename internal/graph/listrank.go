@@ -46,7 +46,13 @@ func ListRankOblivious(c *forkjoin.Ctx, sp *mem.Space, succ []int, weights []uin
 		in.Data()[i] = obliv.Elem{Key: uint64(succ[i]), Val: w, Aux: uint64(i), Kind: obliv.Real}
 	}
 
-	perm, _ := core.MustRandomPermutation(c, sp, in, seed, p)
+	// The permutation sorts its bins concurrently, one task per bin, so
+	// they take the stateless default network instead of p.Sorter: a
+	// stateful sorter (the shuffle backend) serves one sort at a time. The
+	// bins are the poly-log subproblems that network is meant for.
+	orp := p
+	orp.Sorter = nil
+	perm, _ := core.MustRandomPermutation(c, sp, in, seed, orp)
 
 	// Route each permuted entry the (position, weight) of its successor.
 	// Sources: (origIndex → pos<<32|weight); dests keyed by successor's

@@ -123,58 +123,95 @@ func TestChaosStorm(t *testing.T) {
 	}
 }
 
+// faultSpecs are the two spec families the lifecycle tests arm faults
+// on: a relational query (sort-pass site) and a convergence components
+// run (graph-round site), over tables loaded by loadFaultTables.
+var faultSpecs = []struct {
+	site string
+	spec QuerySpec
+}{
+	{"sort.pass", QuerySpec{Table: "t", GroupBy: "sum", KeyOrderOut: true}},
+	{"graph.round", QuerySpec{Table: "g", Graph: "cc"}},
+}
+
+// loadFaultTables loads the relation "t" and the edge table "g" (a
+// 16-vertex path, so components runs several rounds).
+func loadFaultTables(t *testing.T, s *Server, seed uint64) {
+	t.Helper()
+	mustLoad(t, s, "t", testRows(256, 8, seed))
+	path := make([][3]uint64, 15)
+	for i := range path {
+		path[i] = [3]uint64{uint64(i), uint64(i + 1), 1}
+	}
+	mustLoad(t, s, "g", edgeRows(path))
+}
+
 // TestQueryTimeoutReturns504 pins the deadline path: a query slower than
 // Options.QueryTimeout aborts with oblivmc.ErrDeadline, mapped to HTTP
-// 504, and returns its lane.
+// 504, and returns its lane — for relational and graph specs alike.
 func TestQueryTimeoutReturns504(t *testing.T) {
 	defer faultinject.Reset()
-	s := chaosServer(t, 1, 25*time.Millisecond)
-	mustLoad(t, s, "t", testRows(256, 8, 3))
+	for _, fs := range faultSpecs {
+		s := chaosServer(t, 1, 25*time.Millisecond)
+		loadFaultTables(t, s, 3)
 
-	faultinject.SlowEvery("sort.pass", 1, 40*time.Millisecond)
-	_, err := s.Execute(QuerySpec{Table: "t", GroupBy: "sum", KeyOrderOut: true})
-	if !errors.Is(err, oblivmc.ErrDeadline) {
-		t.Fatalf("slow query: err = %v, want ErrDeadline", err)
-	}
-	if got := statusOf(err); got != http.StatusGatewayTimeout {
-		t.Fatalf("statusOf(ErrDeadline) = %d, want 504", got)
-	}
-	if s.Running() != 0 {
-		t.Fatalf("running gauge = %d after timeout, want 0", s.Running())
-	}
-	faultinject.Reset()
-	if _, err := s.Execute(QuerySpec{Table: "t", GroupBy: "sum"}); err != nil {
-		t.Fatalf("query after a timeout: %v", err)
+		faultinject.SlowEvery(fs.site, 1, 40*time.Millisecond)
+		_, err := s.Execute(fs.spec)
+		if !errors.Is(err, oblivmc.ErrDeadline) {
+			t.Fatalf("%s: slow query: err = %v, want ErrDeadline", fs.site, err)
+		}
+		if got := statusOf(err); got != http.StatusGatewayTimeout {
+			t.Fatalf("statusOf(ErrDeadline) = %d, want 504", got)
+		}
+		if s.Running() != 0 {
+			t.Fatalf("%s: running gauge = %d after timeout, want 0", fs.site, s.Running())
+		}
+		faultinject.Reset()
+		if _, err := s.Execute(fs.spec); err != nil {
+			t.Fatalf("%s: query after a timeout: %v", fs.site, err)
+		}
 	}
 }
 
 // TestLaneRetiredAfterPanic pins panic isolation at the serve layer: the
 // injected panic surfaces as ErrInternal (HTTP 500), the poisoned lane is
-// replaced, and the single-lane server keeps serving.
+// replaced by a fresh one, and the single-lane server keeps serving — for
+// relational and graph specs alike.
 func TestLaneRetiredAfterPanic(t *testing.T) {
 	defer faultinject.Reset()
-	s := chaosServer(t, 1, 0)
-	mustLoad(t, s, "t", testRows(128, 8, 4))
+	for _, fs := range faultSpecs {
+		s := chaosServer(t, 1, 0)
+		loadFaultTables(t, s, 4)
+		lane := func() *lane {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return s.free[0]
+		}
+		before := lane()
 
-	faultinject.PanicAt("sort.pass", 1)
-	_, err := s.Execute(QuerySpec{Table: "t", GroupBy: "sum"})
-	if !errors.Is(err, oblivmc.ErrInternal) {
-		t.Fatalf("injected panic: err = %v, want ErrInternal", err)
-	}
-	if got := statusOf(err); got != http.StatusInternalServerError {
-		t.Fatalf("statusOf(ErrInternal) = %d, want 500", got)
-	}
-	if s.Running() != 0 {
-		t.Fatalf("running gauge = %d after panic, want 0", s.Running())
-	}
-	faultinject.Reset()
-	// The only lane panicked; this succeeds only if it was rebuilt.
-	res, err := s.Execute(QuerySpec{Table: "t", GroupBy: "sum"})
-	if err != nil {
-		t.Fatalf("query on rebuilt lane: %v", err)
-	}
-	if res.Stats.Cached {
-		t.Fatal("rebuilt-lane query unexpectedly cached")
+		faultinject.PanicAt(fs.site, 1)
+		_, err := s.Execute(fs.spec)
+		if !errors.Is(err, oblivmc.ErrInternal) {
+			t.Fatalf("%s: injected panic: err = %v, want ErrInternal", fs.site, err)
+		}
+		if got := statusOf(err); got != http.StatusInternalServerError {
+			t.Fatalf("statusOf(ErrInternal) = %d, want 500", got)
+		}
+		if s.Running() != 0 {
+			t.Fatalf("%s: running gauge = %d after panic, want 0", fs.site, s.Running())
+		}
+		if lane() == before {
+			t.Fatalf("%s: the panicked lane was checked back in, not retired", fs.site)
+		}
+		faultinject.Reset()
+		// The only lane panicked; this succeeds only if it was rebuilt.
+		res, err := s.Execute(fs.spec)
+		if err != nil {
+			t.Fatalf("%s: query on rebuilt lane: %v", fs.site, err)
+		}
+		if res.Stats.Cached {
+			t.Fatalf("%s: rebuilt-lane query unexpectedly cached", fs.site)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package serve
 
-// Server-layer tests for graph query specs: the Graph clause dispatches
-// to the graph operators over a loaded width-2 edge table, rides the
-// same result cache and admission path as relational specs, and rejects
-// malformed combinations with typed errors.
+// Server-layer tests for graph query specs: the Graph clause runs the
+// graph operators over a loaded width-2 edge table on a lane's Session,
+// rides the same result cache and admission path as relational specs,
+// and rejects malformed combinations with typed errors.
 
 import (
 	"strings"
@@ -45,6 +45,10 @@ func TestGraphSpecComponents(t *testing.T) {
 	}
 	if !strings.Contains(res.Stats.Plan, "cc-minhook") {
 		t.Fatalf("plan %q: missing cc-minhook", res.Stats.Plan)
+	}
+	// The convergence run reports its measured sorts: whole rounds of 9.
+	if res.Stats.SortPasses <= 0 || res.Stats.SortPasses%9 != 0 || res.Stats.ColdSortPasses != res.Stats.SortPasses {
+		t.Fatalf("convergence run: sorts=%d cold=%d, want a positive multiple of 9, cold equal", res.Stats.SortPasses, res.Stats.ColdSortPasses)
 	}
 
 	// Same spec again: served from the cross-query result cache.

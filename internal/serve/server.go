@@ -368,11 +368,12 @@ type Result struct {
 	StoredVersion int
 }
 
-// Execute runs one query spec end to end: compile against the registry,
-// serve from the result cache when the canonical key hits, otherwise
-// check out a session lane and run, then materialize (cache + optional
-// registry store). Safe for concurrent use; concurrency is bounded by
-// the lane count.
+// Execute runs one query spec — relational or graph — end to end:
+// compile against the registry, serve from the result cache when the
+// canonical key hits, otherwise check out a session lane and run on its
+// Session (RunQueryCtx or RunGraphCtx), then materialize (cache + optional
+// registry store). Safe for concurrent use; concurrency is bounded by the
+// lane count.
 func (s *Server) Execute(spec QuerySpec) (Result, error) {
 	return s.ExecuteCtx(context.Background(), spec)
 }
@@ -390,16 +391,12 @@ func (s *Server) ExecuteCtx(ctx context.Context, spec QuerySpec) (Result, error)
 	}
 	defer s.inflight.Done()
 
-	if spec.Graph != "" {
-		return s.executeGraph(ctx, spec)
-	}
-
-	tab, q, key, err := spec.compile(s.reg)
+	j, err := spec.resolve(s.reg)
 	if err != nil {
 		return Result{}, err
 	}
 	var res Result
-	if hit, ok := s.cache.get(key); ok {
+	if hit, ok := s.cache.get(j.key); ok {
 		res = Result{
 			Table: hit.tab,
 			Stats: Stats{Cached: true, Plan: hit.plan, Order: hit.tab.Order().String()},
@@ -407,22 +404,16 @@ func (s *Server) ExecuteCtx(ctx context.Context, spec QuerySpec) (Result, error)
 	} else {
 		qctx, done := s.queryCtx(ctx)
 		defer done()
-		hint := bucketOf(tab.Len())
-		if q.Join != nil {
-			if b := bucketOf(q.Join.Left.Len() + tab.Len()); b > hint {
-				hint = b
-			}
-		}
-		l, err := s.checkout(qctx, hint)
+		l, err := s.checkout(qctx, j.hint)
 		if err != nil {
 			return Result{}, err
 		}
-		out, stats, err := l.sess.RunQueryCtx(qctx, tab, q)
-		s.release(l, hint, err)
+		out, stats, err := j.run(qctx, l.sess)
+		s.release(l, j.hint, err)
 		if err != nil {
 			return Result{}, err
 		}
-		s.cache.put(cached{key: key, tab: out, plan: stats.Plan})
+		s.cache.put(cached{key: j.key, tab: out, plan: stats.Plan})
 		res = Result{
 			Table: out,
 			Stats: Stats{
@@ -443,123 +434,14 @@ func (s *Server) ExecuteCtx(ctx context.Context, spec QuerySpec) (Result, error)
 	return res, nil
 }
 
-// executeGraph serves a graph spec: same admission, caching, and
-// materialization path as the relational pipeline, with the operator run
-// under a checked-out lane's admission slot (the graph operators manage
-// their own execution internally, so the lane bounds concurrency rather
-// than lending its session). Stats carry the operator's planned sort
-// accounting — exact for fixed-round shapes, 0 with a "rounds revealed"
-// plan for convergence runs.
-func (s *Server) executeGraph(ctx context.Context, spec QuerySpec) (Result, error) {
-	tab, op, rounds, key, err := spec.compileGraph(s.reg)
-	if err != nil {
-		return Result{}, err
-	}
-	var res Result
-	if hit, ok := s.cache.get(key); ok {
-		res = Result{
-			Table: hit.tab,
-			Stats: Stats{Cached: true, Plan: hit.plan, Order: hit.tab.Order().String()},
-		}
-	} else {
-		qctx, done := s.queryCtx(ctx)
-		defer done()
-		hint := bucketOf(tab.Len())
-		l, err := s.checkout(qctx, hint)
-		if err != nil {
-			return Result{}, err
-		}
-		// The graph operators run one-shot (the lane only bounds
-		// concurrency, it doesn't lend its session), so cancellation
-		// threads through the config token: one token covers every
-		// constituent run of a composite operator like PageRank.
-		cfg := s.opts.Exec
-		cn := oblivmc.NewCancel()
-		cfg.Cancel = cn
-		stopWatch := make(chan struct{})
-		go func() {
-			select {
-			case <-qctx.Done():
-				cn.Cancel()
-			case <-stopWatch:
-			}
-		}()
-		var out oblivmc.Table
-		switch op {
-		case oblivmc.GraphOpMSF:
-			out, _, err = oblivmc.MSF(cfg, tab)
-		case oblivmc.GraphOpPageRank:
-			out, _, err = oblivmc.PageRank(cfg, tab, rounds)
-		default:
-			out, _, err = oblivmc.Components(cfg, tab, rounds)
-		}
-		close(stopWatch)
-		// The lane session never executed anything, so even a panicking
-		// one-shot run leaves it healthy: plain checkin, no retire.
-		s.checkin(l, hint)
-		if err != nil {
-			if errors.Is(err, oblivmc.ErrCanceled) && errors.Is(qctx.Err(), context.DeadlineExceeded) {
-				err = fmt.Errorf("%w: %v", oblivmc.ErrDeadline, err)
-			}
-			return Result{}, err
-		}
-		plan, err := oblivmc.GraphExplainTable(op, tab, rounds)
-		if err != nil {
-			return Result{}, err
-		}
-		el, err := tab.Edges()
-		if err != nil {
-			return Result{}, err
-		}
-		n := 0
-		for _, e := range el {
-			if e.U >= n {
-				n = e.U + 1
-			}
-			if e.V >= n {
-				n = e.V + 1
-			}
-		}
-		sorts := oblivmc.GraphSorts(op, n, len(el), rounds)
-		if sorts < 0 {
-			sorts = 0 // convergence run: count revealed, plan says so
-		}
-		s.cache.put(cached{key: key, tab: out, plan: plan})
-		res = Result{
-			Table: out,
-			Stats: Stats{
-				SortPasses:     sorts,
-				ColdSortPasses: sorts,
-				Plan:           plan,
-				Order:          out.Order().String(),
-			},
-		}
-	}
-	if spec.As != "" {
-		v, err := s.reg.Load(spec.As, res.Table, true)
-		if err != nil {
-			return Result{}, err
-		}
-		res.StoredAs, res.StoredVersion = spec.As, v
-	}
-	return res, nil
-}
-
 // ExplainSpec renders the order-aware plan the spec would execute,
 // without running it.
 func (s *Server) ExplainSpec(spec QuerySpec) (string, error) {
-	if spec.Graph != "" {
-		tab, op, rounds, _, err := spec.compileGraph(s.reg)
-		if err != nil {
-			return "", err
-		}
-		return oblivmc.GraphExplainTable(op, tab, rounds)
-	}
-	tab, q, _, err := spec.compile(s.reg)
+	j, err := spec.resolve(s.reg)
 	if err != nil {
 		return "", err
 	}
-	return oblivmc.ExplainTable(tab, q)
+	return j.explain()
 }
 
 // LoadTable validates rows and binds them in the registry.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -109,6 +110,51 @@ func (s QuerySpec) compileGraph(reg *Registry) (oblivmc.Table, oblivmc.GraphOp, 
 	}
 	key := fmt.Sprintf("t=%s@%d|graph=%s|r=%d", s.Table, ver, s.Graph, rounds)
 	return tab, op, rounds, key, nil
+}
+
+// job is a spec resolved against the registry — a relational query or a
+// graph operator behind one shape: the canonical cache key, the lane size
+// hint (log₂ of the largest relation the run loads), the run on a
+// checked-out lane's Session, and the plan rendering.
+type job struct {
+	key     string
+	hint    int
+	run     func(ctx context.Context, sess *oblivmc.Session) (oblivmc.Table, oblivmc.QueryStats, error)
+	explain func() (string, error)
+}
+
+// resolve compiles s, relational or graph, into its job.
+func (s QuerySpec) resolve(reg *Registry) (job, error) {
+	if s.Graph != "" {
+		tab, op, rounds, key, err := s.compileGraph(reg)
+		if err != nil {
+			return job{}, err
+		}
+		return job{
+			key:  key,
+			hint: bucketOf(tab.Len()),
+			run: func(ctx context.Context, sess *oblivmc.Session) (oblivmc.Table, oblivmc.QueryStats, error) {
+				return sess.RunGraphCtx(ctx, op, tab, rounds)
+			},
+			explain: func() (string, error) { return oblivmc.GraphExplainTable(op, tab, rounds) },
+		}, nil
+	}
+	tab, q, key, err := s.compile(reg)
+	if err != nil {
+		return job{}, err
+	}
+	hint := bucketOf(tab.Len())
+	if q.Join != nil {
+		hint = max(hint, bucketOf(q.Join.Left.Len()+tab.Len()))
+	}
+	return job{
+		key:  key,
+		hint: hint,
+		run: func(ctx context.Context, sess *oblivmc.Session) (oblivmc.Table, oblivmc.QueryStats, error) {
+			return sess.RunQueryCtx(ctx, tab, q)
+		},
+		explain: func() (string, error) { return oblivmc.ExplainTable(tab, q) },
+	}, nil
 }
 
 var aggOf = map[string]oblivmc.Agg{

@@ -39,6 +39,7 @@ func TestCancelTokenPreTripped(t *testing.T) {
 	tripped := NewCancel()
 	tripped.Cancel()
 	cfg := Config{Mode: ModeSerial, Cancel: tripped}
+	ccTable := mustEdgeTable(t, []WeightedEdge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 4, V: 5}, {U: 7, V: 7}})
 
 	cases := []struct {
 		name string
@@ -50,8 +51,8 @@ func TestCancelTokenPreTripped(t *testing.T) {
 			_, _, err := GroupTotals(cfg, []uint64{1, 2, 1, 2}, []uint64{10, 20, 30, 40})
 			return err
 		}},
-		{"ConnectedComponents", func() error {
-			_, _, err := ConnectedComponents(cfg, 8, [][2]int{{0, 1}, {2, 3}, {4, 5}})
+		{"Components", func() error {
+			_, _, err := Components(cfg, ccTable, 3)
 			return err
 		}},
 		{"ListRank", func() error {
@@ -233,12 +234,12 @@ func TestUntrippedTokenLeavesTraceIdentical(t *testing.T) {
 		t.Fatal("untripped token changed the sort trace fingerprint")
 	}
 
-	edges := [][2]int{{0, 1}, {1, 2}, {3, 4}, {5, 6}, {6, 7}}
-	_, gA, err := ConnectedComponents(cfg, 8, edges)
+	edges := mustEdgeTable(t, []WeightedEdge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 6}, {U: 6, V: 7}})
+	_, gA, err := Components(cfg, edges, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gB, err := ConnectedComponents(cfgTok, 8, edges)
+	_, gB, err := Components(cfgTok, edges, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -327,7 +327,8 @@ func TestPlannedTraceDependsOnShape(t *testing.T) {
 
 // TestExplain pins the plan rendering the CLI exposes.
 func TestExplain(t *testing.T) {
-	got, err := Explain(Query{
+	tab := mustTable(t, queryRows(8))
+	got, err := ExplainTable(tab, Query{
 		Filter:   func(r Row) bool { return r.Val > 0 },
 		Distinct: true,
 		GroupBy:  AggSum,
@@ -338,21 +339,21 @@ func TestExplain(t *testing.T) {
 	}
 	want := "filter-mark → sort(key,pos) → dedup+aggregate → sort(val↓) → topk [2 sorts, staged 6]"
 	if got != want {
-		t.Fatalf("Explain = %q, want %q", got, want)
+		t.Fatalf("ExplainTable = %q, want %q", got, want)
 	}
 
 	// A NoOptimize query explains what actually runs: the staged sequence.
-	got, err = Explain(Query{Distinct: true, GroupBy: AggSum, TopK: 2, NoOptimize: true})
+	got, err = ExplainTable(tab, Query{Distinct: true, GroupBy: AggSum, TopK: 2, NoOptimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := "staged: distinct → group-by → top-k [5 sorts]"; got != want {
-		t.Fatalf("Explain(NoOptimize) = %q, want %q", got, want)
+		t.Fatalf("ExplainTable(NoOptimize) = %q, want %q", got, want)
 	}
 
-	// Explain validates like RunQuery.
-	if _, err := Explain(Query{TopK: -1}); err == nil {
-		t.Fatal("Explain accepted negative k")
+	// ExplainTable validates like RunQuery.
+	if _, err := ExplainTable(tab, Query{TopK: -1}); err == nil {
+		t.Fatal("ExplainTable accepted negative k")
 	}
 }
 

@@ -6,8 +6,10 @@
 # -keyorder -as (materializing an OrderKeys result), then (a) repeats the
 # identical query and asserts it is served from the cross-query cache
 # with 0 executed sorts, and (b) queries the materialization and asserts
-# the order token saved a sort versus the cold plan. This is the CI leg
-# that keeps the client wire structs honest against the server's.
+# the order token saved a sort versus the cold plan. Then it loads a
+# generated edge table and runs a -graph cc query, asserting measured
+# sorts (whole 9-sort rounds) and a cached 0-sort repeat. This is the CI
+# leg that keeps the client wire structs honest against the server's.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -66,4 +68,19 @@ echo "--- explain must show the carried input order"
 "$BIN/oblivserve" explain -addr "$ADDR" -table totals -agg max -keyorder | tee /dev/stderr |
   grep -q 'in(' || { echo "FAIL: explain shows no input-order token" >&2; exit 1; }
 
-echo "serve_smoke: OK (cold=$COLD_SORTS sorts, cached repeat=0, follow-up=$F_SORTS<$F_COLD)"
+echo "--- graph spec: components on the lane's session, then a cached repeat"
+"$BIN/oblivserve" load -addr "$ADDR" -name edges -rows 256 -groups 64 -cols 2 -seed 9
+GCOLD="$(run_query -table edges -graph cc)"
+echo "$GCOLD"
+echo "$GCOLD" | grep -q 'cached=false' || { echo "FAIL: cold graph run reported cached" >&2; exit 1; }
+G_SORTS="$(echo "$GCOLD" | sed -n 's/.*sorts=\([0-9]*\).*/\1/p')"
+[ "$G_SORTS" -ge 9 ] && [ $((G_SORTS % 9)) -eq 0 ] || {
+  echo "FAIL: graph run reported $G_SORTS sorts, want whole 9-sort rounds" >&2
+  exit 1
+}
+GWARM="$(run_query -table edges -graph cc)"
+echo "$GWARM"
+echo "$GWARM" | grep -q 'cached=true' || { echo "FAIL: graph repeat not served from cache" >&2; exit 1; }
+echo "$GWARM" | grep -q 'sorts=0 ' || { echo "FAIL: cached graph repeat executed sorts" >&2; exit 1; }
+
+echo "serve_smoke: OK (cold=$COLD_SORTS sorts, cached repeat=0, follow-up=$F_SORTS<$F_COLD, graph cc=$G_SORTS then cached 0)"

@@ -11,6 +11,7 @@ import (
 	"oblivmc/internal/forkjoin"
 	"oblivmc/internal/mem"
 	"oblivmc/internal/obliv"
+	"oblivmc/internal/plan"
 	"oblivmc/internal/relops"
 )
 
@@ -95,10 +96,12 @@ func (e exec) run(fn func(c *forkjoin.Ctx, sp *mem.Space)) (rep *Report, err err
 	}
 }
 
-// QueryStats is the public bookkeeping of one Session.RunQuery: the
-// executed sort-pass count (measured at the sorter seam, not planned), the
-// cold-plan baseline the cross-query savings are measured against, and the
-// rendered plan. Everything here is a function of public query shape.
+// QueryStats is the public bookkeeping of one Session run (RunQuery or
+// RunGraphCtx): the executed sort-pass count (measured at the sorter seam,
+// not planned), the cold-plan baseline the cross-query savings are
+// measured against, and the rendered plan. Everything here is a function
+// of public query shape (and, for a convergence graph run, of the round
+// count it reveals).
 type QueryStats struct {
 	// SortPasses counts the full sorting-network passes the query
 	// executed (0 for an identity plan or a fully order-covered one).
@@ -108,7 +111,8 @@ type QueryStats struct {
 	ColdSortPasses int
 	// Plan is the query's ExplainTable rendering: the order-aware pass
 	// sequence (e.g. "in(key,pos) → aggregate [0 sorts, cold 1, staged
-	// 2]"), or "staged: ... [N sorts]" for a NoOptimize query.
+	// 2]"), or "staged: ... [N sorts]" for a NoOptimize query; for a graph
+	// run, its GraphExplainTable rendering.
 	Plan string
 	// Order is the result table's sorted-by token.
 	Order TableOrder
@@ -137,14 +141,15 @@ func (s passCounter) SortScheduled(c *forkjoin.Ctx, sp *mem.Space, a *mem.Array[
 	s.inner.SortScheduled(c, sp, a, ks, scr, kscr, lo, n)
 }
 
-// Session is a reusable execution context for the relational query
-// surface — the seam a long-running server (internal/serve, cmd/oblivserve)
-// multiplexes requests over. Where the one-shot RunQuery rebuilds its
-// fork-join pool, address space, scratch arena, and sorter per invocation,
-// a Session constructs them once and reuses them across queries: the
-// arena's key schedules and element scratch, the shuffle backend's tie
-// planes and Beneš level buffers, and the pool's worker goroutines all
-// persist, so a steady stream of same-shape queries runs allocation-flat.
+// Session is a reusable execution context for the relational query and
+// graph surfaces — the seam a long-running server (internal/serve,
+// cmd/oblivserve) multiplexes requests over. Where the one-shot RunQuery
+// and graph operators rebuild their fork-join pool, address space, scratch
+// arena, and sorter per invocation, a Session constructs them once and
+// reuses them across queries: the arena's key schedules and element
+// scratch, the shuffle backend's tie planes and Beneš level buffers, and
+// the pool's worker goroutines all persist, so a steady stream of
+// same-shape queries runs allocation-flat.
 //
 // A Session is NOT safe for concurrent use: queries must be issued
 // sequentially (the shuffle sorter and arena are stateful). A server gives
@@ -213,10 +218,10 @@ func (s *Session) exec() exec {
 	return exec{cfg: s.cfg, pool: s.pool, sp: s.sp, arena: s.arena}
 }
 
-// Interrupt cancels the in-flight query, if any: RunQuery/RunQueryCtx
-// returns ErrCanceled at its next public-shape checkpoint. Safe to call
-// from any goroutine, any number of times; a no-op when the session is
-// idle. The session stays reusable after an interrupt.
+// Interrupt cancels the in-flight query, if any: RunQuery, RunQueryCtx or
+// RunGraphCtx returns ErrCanceled at its next public-shape checkpoint.
+// Safe to call from any goroutine, any number of times; a no-op when the
+// session is idle. The session stays reusable after an interrupt.
 func (s *Session) Interrupt() {
 	if cn := s.cur.Load(); cn != nil {
 		cn.Cancel()
@@ -243,8 +248,57 @@ func (s *Session) RunQuery(t Table, q Query) (Table, QueryStats, error) {
 // ErrDeadline. The abort reveals only public quantities — the checkpoint
 // site and the executed sort-pass count — never data.
 func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, QueryStats, error) {
+	var pl plan.Plan
+	out, st, err := s.runCtx(ctx, "RunQuery", func(e exec, srt obliv.ScheduledSorter) (Table, *Report, error) {
+		kind, err := checkQuery(t, q)
+		if err != nil {
+			return Table{}, nil, err
+		}
+		pl = q.compile(kind, t.Width(), t.order)
+		return runQueryPlanned(e, t, q, pl, srt)
+	})
+	if err != nil {
+		return Table{}, QueryStats{}, err
+	}
+	st.ColdSortPasses = pl.ColdSortPasses
+	st.Plan = q.explain(pl)
+	return out, st, nil
+}
+
+// RunGraphCtx runs the graph operator op over an edge table like the
+// one-shot Components, MSF and PageRank (rounds is Components' round count
+// or PageRank's iteration count; MSF ignores it), but under the session's
+// pooled resources and query lifecycle, exactly as RunQueryCtx: the same
+// cancellation, deadline and poisoning behaviour, and QueryStats carrying
+// the executed sort-pass count (ColdSortPasses equal to it — a graph run
+// has no input-order skip) and the GraphExplainTable plan. For a
+// convergence run the executed count is the one figure the plan leaves
+// open, and it reveals nothing beyond the round count convergence already
+// reveals.
+func (s *Session) RunGraphCtx(ctx context.Context, op GraphOp, edges Table, rounds int) (Table, QueryStats, error) {
+	out, st, err := s.runCtx(ctx, "RunGraphCtx", func(e exec, srt obliv.ScheduledSorter) (Table, *Report, error) {
+		return runGraph(e, srt, op, edges, rounds)
+	})
+	if err != nil {
+		return Table{}, QueryStats{}, err
+	}
+	if st.Plan, err = GraphExplainTable(op, edges, rounds); err != nil {
+		return Table{}, QueryStats{}, err
+	}
+	st.ColdSortPasses = st.SortPasses
+	return out, st, nil
+}
+
+// runCtx is the query lifecycle RunQueryCtx and RunGraphCtx share. It
+// refuses closed and poisoned sessions and pre-canceled contexts, arms a
+// fresh per-query token (the one Interrupt trips, also tripped when ctx is
+// done), runs body under the session's exec with the pass-counting sorter,
+// poisons the session on ErrInternal, and maps a canceled run to
+// ErrCanceled or ErrDeadline carrying the executed pass count. On success
+// the stats carry SortPasses, Order and Report.
+func (s *Session) runCtx(ctx context.Context, name string, body func(e exec, srt obliv.ScheduledSorter) (Table, *Report, error)) (Table, QueryStats, error) {
 	if s.closed {
-		return Table{}, QueryStats{}, fmt.Errorf("oblivmc: RunQuery on closed Session")
+		return Table{}, QueryStats{}, fmt.Errorf("oblivmc: %s on closed Session", name)
 	}
 	if s.poisoned.Load() {
 		return Table{}, QueryStats{}, fmt.Errorf("%w (session poisoned by a prior panic; rebuild it)", ErrInternal)
@@ -252,13 +306,7 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 	if ctx != nil && ctx.Err() != nil {
 		return Table{}, QueryStats{}, ctxErrOf(ctx, fmt.Errorf("%w (before execution)", ErrCanceled))
 	}
-	kind, err := checkQuery(t, q)
-	if err != nil {
-		return Table{}, QueryStats{}, err
-	}
-	pl := q.compile(kind, t.Width(), t.order)
 	passes := 0
-	srt := passCounter{inner: s.sorter, n: &passes}
 	cn := new(forkjoin.Cancel)
 	s.cur.Store(cn)
 	defer s.cur.Store(nil)
@@ -266,7 +314,7 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 	defer stop()
 	e := s.exec()
 	e.cancel = cn
-	out, rep, err := runQueryPlanned(e, t, q, pl, srt)
+	out, rep, err := body(e, passCounter{inner: s.sorter, n: &passes})
 	if err != nil {
 		if errors.Is(err, ErrInternal) {
 			s.poisoned.Store(true)
@@ -277,18 +325,5 @@ func (s *Session) RunQueryCtx(ctx context.Context, t Table, q Query) (Table, Que
 		}
 		return Table{}, QueryStats{}, err
 	}
-	return out, QueryStats{
-		SortPasses:     passes,
-		ColdSortPasses: pl.ColdSortPasses,
-		Plan:           q.explain(pl),
-		Order:          out.order,
-		Report:         rep,
-	}, nil
-}
-
-// Explain renders the order-aware plan q would execute over t in this
-// session (identical to ExplainTable; the session adds nothing beyond the
-// table's token, but callers holding a session read more naturally).
-func (s *Session) Explain(t Table, q Query) (string, error) {
-	return ExplainTable(t, q)
+	return out, QueryStats{SortPasses: passes, Order: out.order, Report: rep}, nil
 }

@@ -7,6 +7,7 @@ package oblivmc
 // on.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -56,6 +57,65 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		if stats.SortPasses != pl.SortPasses {
 			t.Fatalf("%s: executed %d sorts, plan says %d (%s)", label, stats.SortPasses, pl.SortPasses, pl)
 		}
+	}
+
+	// Graph runs: RunGraphCtx returns the one-shot operators' rows, serial
+	// and parallel on both backends, and measures its sort passes — equal
+	// to the plan's count wherever that count is exact (fixed-round
+	// components, PageRank), whole rounds of 9 for convergence components,
+	// and within the revealed-loop bound for MSF.
+	edges := testEdges(25, 20, 36, 50)
+	etab := mustEdgeTable(t, edges)
+	oneShot := map[GraphOp]func(Config, Table, int) (Table, *Report, error){
+		GraphOpComponents: Components,
+		GraphOpMSF:        func(cfg Config, t Table, _ int) (Table, *Report, error) { return MSF(cfg, t) },
+		GraphOpPageRank:   PageRank,
+	}
+	runs := []struct {
+		op     GraphOp
+		rounds int
+	}{{GraphOpComponents, 0}, {GraphOpComponents, 3}, {GraphOpMSF, 0}, {GraphOpPageRank, 2}}
+	for ci, cfg := range graphConfigs() {
+		gs := NewSession(cfg)
+		for _, r := range runs {
+			label := fmt.Sprintf("cfg %d op %d rounds %d", ci, r.op, r.rounds)
+			want, _, err := oneShot[r.op](cfg, etab, r.rounds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, stats, err := gs.RunGraphCtx(context.Background(), r.op, etab, r.rounds)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			gw, ww := got.WideRows(), want.WideRows()
+			if len(gw) != len(ww) {
+				t.Fatalf("%s: session %d rows, one-shot %d", label, len(gw), len(ww))
+			}
+			for i := range ww {
+				if fmt.Sprint(gw[i]) != fmt.Sprint(ww[i]) {
+					t.Fatalf("%s: row %d = %v, one-shot %v", label, i, gw[i], ww[i])
+				}
+			}
+			pl := plan.BuildGraph(plan.GraphShape{Kind: r.op.planKind(), N: graphShape(edges), M: len(edges), Rounds: r.rounds})
+			switch {
+			case pl.Fixed:
+				if stats.SortPasses != pl.TotalSorts() {
+					t.Fatalf("%s: executed %d sorts, plan says %d (%s)", label, stats.SortPasses, pl.TotalSorts(), pl)
+				}
+			case r.op == GraphOpComponents:
+				if stats.SortPasses <= 0 || stats.SortPasses%pl.SortsPerRound != 0 {
+					t.Fatalf("%s: convergence run executed %d sorts, want whole rounds of %d", label, stats.SortPasses, pl.SortsPerRound)
+				}
+			default:
+				if stats.SortPasses <= 0 || stats.SortPasses > pl.TotalSorts() {
+					t.Fatalf("%s: executed %d sorts, want within (0, %d]", label, stats.SortPasses, pl.TotalSorts())
+				}
+			}
+			if stats.ColdSortPasses != stats.SortPasses || stats.Plan != pl.String() || stats.Order != got.Order() {
+				t.Fatalf("%s: stats %+v, want cold = sorts, plan %q, order %v", label, stats, pl, got.Order())
+			}
+		}
+		gs.Close()
 	}
 }
 
@@ -239,5 +299,9 @@ func TestSessionClosed(t *testing.T) {
 	}
 	if _, _, err := sess.RunQuery(tab, Query{Distinct: true}); err == nil {
 		t.Fatal("RunQuery on a closed session must fail")
+	}
+	edges := mustEdgeTable(t, []WeightedEdge{{U: 0, V: 1}})
+	if _, _, err := sess.RunGraphCtx(context.Background(), GraphOpComponents, edges, 1); err == nil {
+		t.Fatal("RunGraphCtx on a closed session must fail")
 	}
 }

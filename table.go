@@ -560,13 +560,19 @@ func resolveJoinCap(c *forkjoin.Ctx, sp *mem.Space, ar *relops.Arena, declared i
 // output with the capacity advisor — the worst-case bound, which cannot
 // overflow — at the cost of revealing that bound as public shape.
 func JoinAllRows(cfg Config, left, right Table, maxOut int) ([]WideJoinedRow, *Report, error) {
+	return joinAllRows(exec{cfg: cfg}, relSorter(cfg), left, right, maxOut)
+}
+
+// joinAllRows is JoinAllRows under e with the run's sorter srt (PageRank
+// runs its joins under the caller's exec and sorter).
+func joinAllRows(e exec, srt obliv.ScheduledSorter, left, right Table, maxOut int) ([]WideJoinedRow, *Report, error) {
 	if err := checkJoinTables(left, right, maxOut); err != nil {
 		return nil, nil, err
 	}
 	w := left.Width()
 	var out []WideJoinedRow
 	var runErr error
-	rep, err := run(cfg, func(c *forkjoin.Ctx, sp *mem.Space) {
+	rep, err := e.run(func(c *forkjoin.Ctx, sp *mem.Space) {
 		l, err := relops.Load(sp, recordsOf(left), w)
 		if err != nil {
 			runErr = err
@@ -577,8 +583,10 @@ func JoinAllRows(cfg Config, left, right Table, maxOut int) ([]WideJoinedRow, *R
 			runErr = err
 			return
 		}
-		ar := relops.NewArena()
-		srt := relSorter(cfg)
+		ar := e.arena
+		if ar == nil {
+			ar = relops.NewArena()
+		}
 		capOut, err := resolveJoinCap(c, sp, ar, maxOut, l, r, srt)
 		if err != nil {
 			runErr = err
@@ -707,35 +715,20 @@ func (q Query) shape(kind relops.AggKind, w int, ord TableOrder) plan.Shape {
 	}
 }
 
-// Explain returns the pass sequence q will execute over a width-1 table
-// (ExplainWidth renders other widths), e.g.
+// ExplainTable returns the pass sequence q will execute over t, e.g.
 // "filter-mark → sort(key,pos) → dedup+aggregate → sort(val↓) → topk
 // [2 sorts, staged 6]" — or, for a NoOptimize query, the staged operator
-// sequence. It validates q exactly like RunQuery and depends only on the
-// query shape.
-func Explain(q Query) (string, error) {
-	return ExplainWidth(q, 1)
-}
-
-// ExplainTable is Explain against a concrete table: the plan is built at
-// the table's key width and — the cross-query seam — against its sorted-by
-// token, so a query whose first sort the token covers renders without that
-// sort (e.g. "in(key,pos) → aggregate [0 sorts, cold 1, staged 2]").
+// sequence. The plan is built at the table's key width and — the
+// cross-query seam — against its sorted-by token, so a query whose first
+// sort the token covers renders without that sort (e.g. "in(key,pos) →
+// aggregate [0 sorts, cold 1, staged 2]"). It validates q's shape like
+// RunQuery and depends only on public shape, never on t's rows.
 func ExplainTable(t Table, q Query) (string, error) {
-	return explainOrdered(q, t.Width(), t.order)
-}
-
-// ExplainWidth is Explain for a table of w key columns.
-func ExplainWidth(q Query, w int) (string, error) {
-	return explainOrdered(q, w, OrderNone)
-}
-
-func explainOrdered(q Query, w int, ord TableOrder) (string, error) {
 	kind, err := queryAgg(q)
 	if err != nil {
 		return "", err
 	}
-	return q.explain(q.compile(kind, w, ord)), nil
+	return q.explain(q.compile(kind, t.Width(), t.order)), nil
 }
 
 // compile builds q's plan over a width-w table whose sorted-by token is
@@ -793,7 +786,7 @@ func (q Query) pred(w int) func(relops.Record) bool {
 	return nil
 }
 
-// queryAgg validates q's shape parameters (shared by RunQuery and Explain,
+// queryAgg validates q's shape parameters (shared by RunQuery and ExplainTable,
 // so the explain surface never blesses a shape the executor refuses) and
 // resolves the aggregation kind.
 func queryAgg(q Query) (relops.AggKind, error) {
